@@ -14,8 +14,8 @@ error figure.
 from .coefficients import (CoefficientSet, Direction, compute_coefficients,
                            gamma_grid, gamma_of, load_coefficients,
                            save_coefficients)
-from .errors import (ConvergenceError, DampingError, DenominatorError,
-                     DirectionError, FileFormatError, PoleError, RangeError)
+from .errors import (ConvergenceError, DampingError, DirectionError,
+                     FileFormatError, PoleError, RangeError)
 from .oracle import (QuadratureSpec, damped_expansion_quadrature,
                      fourier_forward_quadrature)
 from .quadrature import integrate
@@ -31,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApproxParams", "CoefficientSet", "ConvergenceError", "DampingError",
-    "DenominatorError", "Direction", "DirectionError", "EvaluationCurve",
+    "Direction", "DirectionError", "EvaluationCurve",
     "FileFormatError", "GridCoverageWarning", "PoleError", "QuadratureSpec",
     "RangeError", "ReferenceKind", "SampleSet", "TargetKind", "VoigtPoint",
     "compute_coefficients", "cosine_sum", "damped_expansion_quadrature",

@@ -11,12 +11,11 @@ machine-parseable key=value summary line.  Exit codes: 0 success,
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import (Direction, compute_coefficients, load_coefficients,
-                           save_coefficients)
+from .coefficients import (Direction, _fmt, _write_csv, compute_coefficients,
+                           load_coefficients, save_coefficients)
 from .errors import ConvergenceError, DirectionError
 from .oracle import QuadratureSpec, fourier_forward_quadrature
 from .rational_eval import error_scan
@@ -24,22 +23,13 @@ from .targets import ApproxParams, ReferenceKind, TargetKind, sample_grid
 from .trig_identity import cosine_sum, viete_product
 from .voigt import VoigtPoint, voigt_quadrature, voigt_residue
 
-TWO_PI = 2.0 * math.pi
-
 EXIT_OK = 0
 EXIT_BREACH = 1
 EXIT_INVALID = 2
 EXIT_INCOMPATIBLE = 3
 
 
-@dataclass(frozen=True)
-class Preset:
-    name: str
-    params: ApproxParams
-    target: TargetKind
-    direction: Direction
-
-
+# preset name -> (ApproxParams fields, target); presets are forward sets
 _PRESET_BINDINGS = {
     "sinc": (dict(a=0.6, k=35, sigma=2.7, M=6, h=0.04, N=28),
              TargetKind.RECT_SURROGATE),
@@ -47,13 +37,8 @@ _PRESET_BINDINGS = {
                          TargetKind.GAUSSIAN_DERIVATIVE),
 }
 
-# parameter set the Voigt evaluator is validated with (Gaussian target)
-_VOIGT_BINDING = dict(a=2.0, sigma=5.0, M=6, h=0.078, N=55)
-
-
-def get_preset(name: str) -> Preset:
-    binding, target = _PRESET_BINDINGS[name]
-    return Preset(name, ApproxParams(**binding), target, Direction.FORWARD)
+# the Voigt evaluator is validated with the gauss-derivative parameters (Gaussian target)
+_VOIGT_BINDING = _PRESET_BINDINGS["gauss-derivative"][0]
 
 
 # which references a scan can be meaningfully compared against, per
@@ -74,12 +59,7 @@ _PARAM_NAMES = ("a", "M", "N", "h", "sigma", "k", "delta")
 _REQUIRED_PARAMS = ("a", "M", "N", "h", "sigma")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _add_param_flags(sub):
-    sub.add_argument("--preset", choices=sorted(_PRESET_BINDINGS))
     sub.add_argument("--a", type=float)
     sub.add_argument("--M", type=int)
     sub.add_argument("--N", type=int)
@@ -88,30 +68,34 @@ def _add_param_flags(sub):
     sub.add_argument("--k", type=int)
     sub.add_argument("--delta", type=float)
     sub.add_argument("--target", choices=[t.value for t in TargetKind])
-    sub.add_argument("--direction", choices=[d.value for d in Direction])
+
+
+def _explicit_params(args):
+    """ApproxParams from the explicit parameter flags; None when none is given."""
+    explicit = {n: getattr(args, n) for n in _PARAM_NAMES if getattr(args, n) is not None}
+    if not explicit:
+        return None
+    missing = [n for n in _REQUIRED_PARAMS if n not in explicit]
+    if missing:
+        raise ValueError(f"explicit parameters require {', '.join('--' + n for n in missing)}")
+    return ApproxParams(**explicit)
 
 
 def _resolve_setup(args):
     """Turn preset/explicit flags into (params, target, direction)."""
-    explicit = {n: getattr(args, n) for n in _PARAM_NAMES if getattr(args, n) is not None}
-    if args.preset is not None:
-        if explicit or args.target is not None or args.direction is not None:
-            raise ValueError("--preset and explicit parameter flags are mutually exclusive")
-        preset = get_preset(args.preset)
-        return preset.params, preset.target, preset.direction
-    if not explicit and args.target is None:
-        print("warning: missing input parameters; defaulting to the sinc preset")
-        preset = get_preset("sinc")
-        return preset.params, preset.target, preset.direction
-    missing = [n for n in _REQUIRED_PARAMS if n not in explicit]
-    if missing:
-        raise ValueError(f"explicit parameters require {', '.join('--' + n for n in missing)}")
+    flags = (args.target, args.direction, *(getattr(args, n) for n in _PARAM_NAMES))
+    if args.preset is not None and any(f is not None for f in flags):
+        raise ValueError("--preset and explicit parameter flags are mutually exclusive")
+    params = _explicit_params(args)
+    if params is None and args.target is None:
+        if args.preset is None:
+            print("warning: missing input parameters; defaulting to the sinc preset")
+        binding, target = _PRESET_BINDINGS[args.preset or "sinc"]
+        return ApproxParams(**binding), target, Direction.FORWARD
     if args.target is None:
         raise ValueError("explicit parameters require --target")
-    params = ApproxParams(
-        a=explicit["a"], M=explicit["M"], N=explicit["N"], h=explicit["h"],
-        sigma=explicit["sigma"], k=explicit.get("k", 35), delta=explicit.get("delta", 0.1),
-    )
+    if params is None:
+        raise ValueError("explicit parameters require --a, --M, --N, --h, --sigma")
     direction = Direction(args.direction) if args.direction else Direction.FORWARD
     return params, TargetKind(args.target), direction
 
@@ -192,22 +176,9 @@ def cmd_voigt(args) -> int:
         raise ValueError(f"lo <= hi violated (got {args.lo}, {args.hi})")
     if args.lo == args.hi and args.n != 1:
         raise ValueError("lo == hi needs n=1")
-    explicit = {n: getattr(args, n) for n in _PARAM_NAMES if getattr(args, n) is not None}
     if args.target is not None and TargetKind(args.target) is not TargetKind.GAUSSIAN:
         raise ValueError("the Voigt evaluator needs the gauss target")
-    if explicit:
-        missing = [n for n in _REQUIRED_PARAMS if n not in explicit]
-        if missing:
-            raise ValueError(
-                f"explicit parameters require {', '.join('--' + n for n in missing)}"
-            )
-        params = ApproxParams(
-            a=explicit["a"], M=explicit["M"], N=explicit["N"], h=explicit["h"],
-            sigma=explicit["sigma"], k=explicit.get("k", 35),
-            delta=explicit.get("delta", 0.1),
-        )
-    else:
-        params = ApproxParams(**_VOIGT_BINDING)
+    params = _explicit_params(args) or ApproxParams(**_VOIGT_BINDING)
     coeffs = compute_coefficients(sample_grid(TargetKind.GAUSSIAN, params),
                                   Direction.FORWARD)
 
@@ -222,10 +193,7 @@ def cmd_voigt(args) -> int:
         worst = max(worst, diff)
         rows.append((float(x), approx, ref, diff))
     if args.out is not None:
-        lines = ["x,voigt_approx,voigt_ref,abs_diff"]
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_csv(args.out, "x,voigt_approx,voigt_ref,abs_diff", rows)
     print(f"max_abs_diff={_fmt(worst)}")
     return EXIT_OK
 
@@ -255,10 +223,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_scan)
     p_scan.add_argument("--coeffs", help="load coefficients from a file instead")
     p_scan.add_argument("--ref", choices=[r.value for r in ReferenceKind])
-    p_scan.add_argument("--lo", type=float, default=-TWO_PI)
-    p_scan.add_argument("--hi", type=float, default=TWO_PI)
+    p_scan.add_argument("--lo", type=float, default=-math.tau)
+    p_scan.add_argument("--hi", type=float, default=math.tau)
     p_scan.add_argument("--n", type=int, default=1000)
     p_scan.add_argument("--out")
+
+    # voigt always builds forward Gaussian coefficients: no preset, no direction
+    for p in (p_coeffs, p_scan):
+        p.add_argument("--preset", choices=sorted(_PRESET_BINDINGS))
+        p.add_argument("--direction", choices=[d.value for d in Direction])
 
     p_ident = sub.add_parser("identity-check", help="verify the product-to-sum identity")
     p_ident.add_argument("--m-min", type=int, default=1)
@@ -269,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_voigt = sub.add_parser("voigt", help="Voigt residue evaluation vs. integral reference")
     _add_param_flags(p_voigt)
     p_voigt.add_argument("--y", type=float, required=True)
-    p_voigt.add_argument("--lo", type=float, default=-TWO_PI)
-    p_voigt.add_argument("--hi", type=float, default=TWO_PI)
+    p_voigt.add_argument("--lo", type=float, default=-math.tau)
+    p_voigt.add_argument("--hi", type=float, default=math.tau)
     p_voigt.add_argument("--n", type=int, default=1000)
     p_voigt.add_argument("--tol", type=float, default=1e-14)
     p_voigt.add_argument("--out")

@@ -33,18 +33,21 @@ class Direction(Enum):
     INVERSE = "inverse"
 
 
+def _gamma(m, params):
+    return math.pi * (2 * m - 1) / (2 ** params.M * params.h)
+
+
 def gamma_of(m: int, params: ApproxParams) -> float:
     """Frequency of the m-th expansion term, m counted from 1."""
     if not 1 <= m <= params.terms:
         raise RangeError(
             f"term index m must be in 1..{params.terms} for M={params.M} (got {m})"
         )
-    return math.pi * (2 * m - 1) / (2 ** params.M * params.h)
+    return _gamma(m, params)
 
 
 def gamma_grid(params: ApproxParams) -> np.ndarray:
-    m = np.arange(1, params.terms + 1)
-    return np.pi * (2 * m - 1) / (2 ** params.M * params.h)
+    return _gamma(np.arange(1, params.terms + 1), params)
 
 
 @dataclass(frozen=True)
@@ -115,6 +118,12 @@ def compute_coefficients(samples: SampleSet, direction: Direction = Direction.FO
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _write_csv(path, header: str, rows) -> None:
+    # curve files: comma-separated text, 17 significant digits per field
+    lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def save_coefficients(coeffs: CoefficientSet, path) -> None:

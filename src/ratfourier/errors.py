@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the guards that raise them."""
+
+import numpy as np
+
+DENOM_FLOOR = 1e-300
 
 
 class RangeError(ValueError):
@@ -9,12 +13,22 @@ class DirectionError(ValueError):
     """A coefficient set was fed to an evaluator of the opposite direction."""
 
 
+def check_direction(coeffs, direction, what: str) -> None:
+    """Raise DirectionError unless coeffs were built for `direction`."""
+    if coeffs.direction is not direction:
+        raise DirectionError(f"{what} needs {direction.value} coefficients, got {coeffs.direction.value}")
+
+
 class PoleError(ArithmeticError):
-    """A rational-term denominator vanished (evaluation at or near a pole)."""
+    """A rational-term or pole-residue denominator vanished (evaluation at or near a pole)."""
 
 
-class DenominatorError(ArithmeticError):
-    """A pole-residue denominator collapsed for the given parameters."""
+def check_denominator(denom, what: str) -> np.ndarray:
+    """Raise PoleError if any |denom| < DENOM_FLOOR; return that (all-False) mask."""
+    small = np.abs(denom) < DENOM_FLOOR
+    if np.any(small):
+        raise PoleError(f"{what} below {DENOM_FLOOR:g} in magnitude (at or next to a pole)")
+    return small
 
 
 class ConvergenceError(RuntimeError):

@@ -20,13 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet, Direction
-from .errors import DampingError, DirectionError, RangeError
+from .errors import DampingError, RangeError, check_direction
 from .quadrature import integrate
 from .targets import TargetKind, target_value
 
 _NU_LIMIT = 100.0
 _ENVELOPE_CUTOFF = 1e-18
-_TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ def fourier_forward_quadrature(target: TargetKind, shift: float, nu: float,
     _check_nu(nu)
 
     def integrand(t):
-        return target_value(target, t - shift, k) * np.exp(-_TWO_PI * 1j * nu * t)
+        return target_value(target, t - shift, k) * np.exp(-math.tau * 1j * nu * t)
 
     breakpoints = []
     if target in (TargetKind.RECT_SURROGATE, TargetKind.RECT_SURROGATE_GAUSS_ALT):
@@ -83,10 +82,7 @@ def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
     pre-rearrangement double-sum form without quadratic cost.  spec.lo and
     spec.hi are ignored; the domain is dictated by `upper`.
     """
-    if coeffs.direction is not Direction.FORWARD:
-        raise DirectionError(
-            f"damped-expansion oracle needs forward coefficients, got {coeffs.direction.value}"
-        )
+    check_direction(coeffs, Direction.FORWARD, "damped-expansion oracle")
     _check_nu(nu)
     sigma = coeffs.params.sigma
     if math.isinf(upper):
@@ -105,7 +101,7 @@ def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
     def integrand(t):
         phase = t[:, None] * gamma[None, :]
         bracket = np.cos(phase) @ alpha + np.sin(phase) @ beta_over_gamma
-        return bracket * np.exp(-(sigma + _TWO_PI * 1j * nu) * t)
+        return bracket * np.exp(-(sigma + math.tau * 1j * nu) * t)
 
     osc = 1.0 / (8.0 * abs(nu)) if nu != 0 else math.inf
     max_width = min(4.0 / gamma[-1], osc)

@@ -25,6 +25,7 @@ from enum import Enum
 import numpy as np
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78, binary64 overflow threshold
+MAX_ORDER = 24  # 2^(M-1) summation terms; larger orders are not desk-scale
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -75,8 +76,8 @@ class ApproxParams:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError(f"M >= 1 violated (got {self.M})")
-        if self.M > 24:
-            raise ValueError(f"M <= 24 violated (got {self.M}); term count 2^(M-1) is not desk-scale")
+        if self.M > MAX_ORDER:
+            raise ValueError(f"M <= {MAX_ORDER} violated (got {self.M}); 2^(M-1) terms is not desk-scale")
         if not self.h > 0:
             raise ValueError(f"h > 0 violated (got {self.h})")
         if self.sigma < 0:
@@ -108,6 +109,19 @@ class ApproxParams:
         return 1 << (self.M - 1)
 
 
+def _of_power(t, k, f, tail):
+    # f((2t)^(2k)) as an array; past |2t| = 1 the power is e^u, u = 2k log|2t|,
+    # and tail(u) stands in for f where e^u nears overflow (u > 700)
+    x = np.abs(2.0 * np.atleast_1d(np.asarray(t, dtype=float)))
+    out = np.empty_like(x)
+    small = x <= 1.0
+    out[small] = f(x[small] ** (2 * k))
+    if not small.all():
+        u = 2 * k * np.log(x[~small])
+        out[~small] = np.where(u > 700.0, tail(u), f(np.exp(np.minimum(u, 700.0))))
+    return out
+
+
 def rect_surrogate(t, k: int = 35):
     """Smooth stand-in 1/((2t)^(2k) + 1) for the rectangular function.
 
@@ -118,26 +132,8 @@ def rect_surrogate(t, k: int = 35):
     if k < 1:
         raise ValueError(f"k >= 1 violated (got {k})")
     scalar = np.ndim(t) == 0
-    x = np.abs(2.0 * np.atleast_1d(np.asarray(t, dtype=float)))
-    out = np.empty_like(x)
-    small = x <= 1.0
-    out[small] = 1.0 / (x[small] ** (2 * k) + 1.0)
-    if not small.all():
-        u = 2 * k * np.log(x[~small])
-        out[~small] = np.where(u > 700.0, np.exp(-u), 1.0 / (np.exp(np.minimum(u, 700.0)) + 1.0))
+    out = _of_power(t, k, lambda p: 1.0 / (p + 1.0), lambda u: np.exp(-u))
     return float(out[0]) if scalar else out
-
-
-def _rect_gauss_alt(t, k):
-    # exp(-(2t)^(2k)); same log-domain guard as the primary surrogate.
-    x = np.abs(2.0 * np.atleast_1d(np.asarray(t, dtype=float)))
-    out = np.empty_like(x)
-    small = x <= 1.0
-    out[small] = np.exp(-(x[small] ** (2 * k)))
-    if not small.all():
-        u = 2 * k * np.log(x[~small])
-        out[~small] = np.where(u > 700.0, 0.0, np.exp(-np.exp(np.minimum(u, 700.0))))
-    return out
 
 
 def target_value(kind: TargetKind, t, k: int = 35):
@@ -147,7 +143,7 @@ def target_value(kind: TargetKind, t, k: int = 35):
     if kind is TargetKind.RECT_SURROGATE:
         out = rect_surrogate(t, k) + 0j
     elif kind is TargetKind.RECT_SURROGATE_GAUSS_ALT:
-        out = _rect_gauss_alt(t, k) + 0j
+        out = _of_power(t, k, lambda p: np.exp(-p), lambda u: 0.0) + 0j
     elif kind is TargetKind.GAUSSIAN_DERIVATIVE:
         out = math.pi ** 1.5 * 1j * t * np.exp(-((math.pi * t) ** 2))
     elif kind is TargetKind.GAUSSIAN:

@@ -20,9 +20,7 @@ import math
 import numpy as np
 
 from .errors import RangeError
-from .targets import ApproxParams
-
-MAX_ORDER = 24  # 2^(M-1) summation terms; larger orders are not desk-scale
+from .targets import MAX_ORDER, ApproxParams
 
 
 def _check_order(M: int):

@@ -18,13 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet, Direction
-from .errors import DenominatorError, DirectionError
+from .errors import check_denominator, check_direction
 from .quadrature import integrate
 from .rational_eval import eval_inverse
 from .targets import TargetKind
-
-_TWO_PI = 2.0 * math.pi
-_DENOM_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -40,11 +37,7 @@ class VoigtPoint:
 
 
 def _require_gaussian(coeffs, direction):
-    if coeffs.direction is not direction:
-        raise DirectionError(
-            f"Voigt evaluation needs {direction.value} coefficients, "
-            f"got {coeffs.direction.value}"
-        )
+    check_direction(coeffs, direction, "Voigt evaluation")
     if coeffs.target is not TargetKind.GAUSSIAN:
         raise ValueError(
             f"Voigt evaluation needs Gaussian-target coefficients, "
@@ -67,22 +60,19 @@ def voigt_residue_complex(coeffs: CoefficientSet, p: VoigtPoint) -> complex:
     gp = g + 1j * sigma
     den1 = g * (four_pi2_r2 + 4.0 * math.pi * x * gm + gm * gm)
     den2 = g * (four_pi2_r2 - 4.0 * math.pi * x * gp + gp * gp)
-    w = _TWO_PI * (x + 1j * y) - 1j * sigma
-    den3 = _TWO_PI * y * (g * g - w * w)
+    w = math.tau * (x + 1j * y) - 1j * sigma
+    den3 = math.tau * y * (g * g - w * w)
     for den in (den1, den2, den3):
-        if np.min(np.abs(den)) < _DENOM_FLOOR:
-            raise DenominatorError(
-                "residue denominator collapsed below 1e-300 (degenerate x, y, sigma, gamma)"
-            )
+        check_denominator(den, "residue denominator")
 
     term1 = np.exp(-a * (1j * g + sigma)) * (beta - 1j * alpha * g) / den1
     term2 = 1j * np.exp(a * (1j * g - sigma)) * (alpha * g - 1j * beta) / den2
     term3 = (1j * np.exp(2j * a * math.pi * (x + 1j * y))
-             * (alpha * (_TWO_PI * (y - 1j * x) - sigma) - beta) / den3)
+             * (alpha * (math.tau * (y - 1j * x) - sigma) - beta) / den3)
 
     contributions = np.concatenate((term1, -term2, term3))
     total = complex(math.fsum(contributions.real), math.fsum(contributions.imag))
-    return _TWO_PI * 1j * y * total
+    return math.tau * 1j * y * total
 
 
 def voigt_residue(coeffs: CoefficientSet, p: VoigtPoint) -> float:

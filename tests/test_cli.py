@@ -173,6 +173,14 @@ def test_voigt_validation(flags, capsys):
     assert main(["voigt", *flags]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--preset", "sinc"], ["--direction", "inverse"]])
+def test_voigt_rejects_preset_and_direction(flags, capsys):
+    # voigt always builds forward Gaussian coefficients; these flags are usage errors
+    with pytest.raises(SystemExit) as exc:
+        main(["voigt", "--y", "1", *flags])
+    assert exc.value.code == 2
+
+
 # --- oracle --------------------------------------------------------------------
 
 def test_oracle_spot_check(capsys):

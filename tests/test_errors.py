@@ -3,7 +3,6 @@
 from ratfourier import (
     ConvergenceError,
     DampingError,
-    DenominatorError,
     DirectionError,
     FileFormatError,
     PoleError,
@@ -17,7 +16,7 @@ def test_domain_errors_are_value_errors():
 
 
 def test_numeric_errors_are_arithmetic_errors():
-    for exc in (PoleError, DenominatorError):
+    for exc in (PoleError,):
         assert issubclass(exc, ArithmeticError)
 
 

@@ -39,12 +39,17 @@ def test_direction_guards(sinc_coeffs, gauss_inverse_coeffs):
         eval_inverse(sinc_coeffs, 0.3)
 
 
-def test_pole_is_reported(sinc_coeffs):
+def test_pole_is_reported(sinc_coeffs, gauss_inverse_coeffs):
     # s = sigma + 2 pi i nu lands exactly on i*gamma_1 at this complex nu
     p = sinc_coeffs.params
     nu = (sinc_coeffs.gamma[0] + 1j * p.sigma) / (2.0 * math.pi)
     with pytest.raises(PoleError):
         eval_forward(sinc_coeffs, nu)
+    # inverse: s = sigma - 2 pi i t lands on -i*gamma_1
+    q = gauss_inverse_coeffs.params
+    t = (gauss_inverse_coeffs.gamma[0] - 1j * q.sigma) / (2.0 * math.pi)
+    with pytest.raises(PoleError):
+        eval_inverse(gauss_inverse_coeffs, t)
 
 
 def test_inverse_frozen_value(gauss_inverse_coeffs):

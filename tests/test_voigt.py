@@ -7,6 +7,7 @@ import pytest
 
 from ratfourier import (
     DirectionError,
+    PoleError,
     VoigtPoint,
     voigt_inverse_route,
     voigt_quadrature,
@@ -77,6 +78,14 @@ def test_requires_forward_gaussian(sinc_coeffs, gauss_inverse_coeffs):
         voigt_residue(gauss_inverse_coeffs, p)
     with pytest.raises(ValueError):
         voigt_residue(sinc_coeffs, p)
+
+
+def test_residue_pole_is_reported(gauss_forward_coeffs):
+    # x + i y = (gamma_1 + i sigma) / (2 pi) collapses the third residue denominator
+    g, sigma = gauss_forward_coeffs.gamma[0], gauss_forward_coeffs.params.sigma
+    with pytest.raises(PoleError):
+        voigt_residue(gauss_forward_coeffs,
+                      VoigtPoint(g / (2.0 * math.pi), sigma / (2.0 * math.pi)))
 
 
 def test_quadrature_tolerance_floor():
