@@ -8,6 +8,8 @@ vectorization, and no accumulation strategy with the library under test.
 import cmath
 import math
 
+import mpmath
+
 
 def brute_coefficients(samples):
     """Naive double-loop coefficient formation in plain binary64.
@@ -35,6 +37,30 @@ def brute_coefficients(samples):
         beta.append(scale * g * complex(math.fsum(sin_re), math.fsum(sin_im)))
         gamma.append(g)
     return alpha, beta, gamma
+
+
+def mpmath_coefficients(samples, dps=40):
+    """The coefficient sums in dps-digit arithmetic, rounded once to binary64.
+
+    The phases gamma_m n h = pi (2m - 1) n / 2^M are taken exactly through
+    mpmath.cospi / mpmath.sinpi of the rational (2m - 1) n / 2^M, so past
+    the dps-digit arithmetic the only rounding is the final one.  Returns
+    (alpha, beta) as lists.
+    """
+    params = samples.params
+    values = [mpmath.mpc(complex(v)) for v in samples.values]
+    alpha, beta = [], []
+    with mpmath.workdps(dps):
+        scale = mpmath.mpf(2) ** (1 - params.M)
+        for m in range(1, params.terms + 1):
+            g = mpmath.pi * (2 * m - 1) / (2 ** params.M * mpmath.mpf(params.h))
+            phases = [mpmath.mpf((2 * m - 1) * n) / 2 ** params.M
+                      for n in range(len(values))]
+            cos_sum = mpmath.fsum(v * mpmath.cospi(r) for v, r in zip(values, phases))
+            sin_sum = mpmath.fsum(v * mpmath.sinpi(r) for v, r in zip(values, phases))
+            alpha.append(complex(scale * cos_sum))
+            beta.append(complex(scale * g * sin_sum))
+    return alpha, beta
 
 
 def brute_forward(samples, nu):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from ratfourier import (
     FileFormatError,
     GridCoverageWarning,
     RangeError,
+    ReferenceKind,
     TargetKind,
     compute_coefficients,
+    error_scan,
     gamma_grid,
     gamma_of,
     load_coefficients,
@@ -23,7 +26,7 @@ from ratfourier import (
 )
 
 import bruteforce
-from conftest import SINC_PARAMS, build_coefficients
+from conftest import GDER_PARAMS, SINC_PARAMS, build_coefficients
 
 
 # --- frequency grid -------------------------------------------------------
@@ -77,6 +80,56 @@ def test_alpha_sum_collapses_to_first_sample(sinc_coeffs):
     assert abs(np.sum(sinc_coeffs.alpha) - samples.values[0]) <= 1e-13
 
 
+# M=1 and M=2 have N + 1 > 2^(M+1) samples, so the fold modulo 2^(M+1) wraps
+MPMATH_CASES = [
+    (dict(a=2.0, M=1, N=9, h=0.5, sigma=1.0), TargetKind.GAUSSIAN_DERIVATIVE),
+    (dict(a=2.0, M=2, N=40, h=0.1, sigma=1.0), TargetKind.GAUSSIAN),
+    (SINC_PARAMS, TargetKind.RECT_SURROGATE),
+    (GDER_PARAMS, TargetKind.GAUSSIAN_DERIVATIVE),
+    (GDER_PARAMS, TargetKind.GAUSSIAN),
+]
+
+
+@pytest.mark.parametrize("params_kwargs, target", MPMATH_CASES,
+                         ids=["M1-gder", "M2-gauss", "sinc", "gder", "gauss"])
+def test_matches_mpmath_reference(params_kwargs, target):
+    # two binary64 ulps of the largest coefficient: what rounding the exact
+    # sums once, plus the longdouble transform's own error, may leave
+    coeffs = build_coefficients(params_kwargs, target)
+    samples = sample_grid(target, coeffs.params)
+    exact_alpha, exact_beta = bruteforce.mpmath_coefficients(samples)
+    for name, got, exact in (("alpha", coeffs.alpha, exact_alpha),
+                             ("beta", coeffs.beta, exact_beta)):
+        rel = np.max(np.abs(got - exact)) / np.max(np.abs(exact))
+        assert rel <= 4.4e-16, f"{name}: {rel:.2e} of the largest coefficient"
+
+
+def _coverage_preserving_gder(M):
+    # N*h and the period 2^(M+1) h stay at the preset's
+    factor = 2 ** (M - GDER_PARAMS["M"])
+    return dict(GDER_PARAMS, M=M, N=GDER_PARAMS["N"] * factor,
+                h=GDER_PARAMS["h"] / factor)
+
+
+@pytest.mark.parametrize("M", [10, 12])
+def test_higher_orders_keep_criterion_2_accuracy(M):
+    # measured: 6.46e-12 at M=10 (N=880) and 6.21e-12 at M=12 (N=3520)
+    coeffs = build_coefficients(_coverage_preserving_gder(M),
+                                TargetKind.GAUSSIAN_DERIVATIVE)
+    curve = error_scan(coeffs, ReferenceKind.NU_GAUSS, -2 * np.pi, 2 * np.pi, 1000)
+    assert curve.max_abs_diff < 7.3e-12
+
+
+def test_alpha_sum_collapses_at_order_12():
+    # the telescoping of test_alpha_sum_collapses_to_first_sample over 2048
+    # terms; measured 1.03e-12, 2.3e-16 of max|alpha| = 4499
+    coeffs = build_coefficients(_coverage_preserving_gder(12),
+                                TargetKind.GAUSSIAN_DERIVATIVE)
+    samples = sample_grid(TargetKind.GAUSSIAN_DERIVATIVE, coeffs.params)
+    assert (abs(np.sum(coeffs.alpha) - samples.values[0])
+            <= 1e-13 * np.max(np.abs(coeffs.alpha)))
+
+
 def test_direction_is_recorded():
     c = build_coefficients(SINC_PARAMS, TargetKind.RECT_SURROGATE,
                            Direction.INVERSE)
@@ -119,6 +172,19 @@ def test_save_load_round_trip(tmp_path, gder_coeffs):
     assert np.array_equal(back.alpha, gder_coeffs.alpha)
     assert np.array_equal(back.beta, gder_coeffs.beta)
     assert np.array_equal(back.gamma, gder_coeffs.gamma)
+
+
+@pytest.mark.parametrize("fixture", ["sinc_coeffs", "gder_coeffs", "gauss_inverse_coeffs"])
+def test_save_load_save_is_byte_identical(tmp_path, request, fixture):
+    # a -0.0 in a set is written as "-0" and read back as +0, so the second
+    # file would differ from the first
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_coefficients(request.getfixturevalue(fixture), first)
+    with warnings.catch_warnings():
+        # loading the sinc set repeats its intentional short-grid warning
+        warnings.simplefilter("ignore", GridCoverageWarning)
+        save_coefficients(load_coefficients(first), second)
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_serialization_is_deterministic(tmp_path, sinc_coeffs):
