@@ -165,10 +165,15 @@ def _complex_column(raw, name, terms):
     return out
 
 
+def _parse_int(text):
+    # _fmt writes a negative zero as "-0", which is an integer to json
+    return -0.0 if text == "-0" else int(text)
+
+
 def load_coefficients(path) -> CoefficientSet:
     """Read a coefficient file back, validating structure and consistency."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(), parse_int=_parse_int)
     except OSError as exc:
         raise FileFormatError(f"cannot read coefficient file: {exc}") from None
     except json.JSONDecodeError as exc:

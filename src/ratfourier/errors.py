@@ -26,7 +26,7 @@ class PoleError(ArithmeticError):
 def check_denominator(denom, what: str) -> np.ndarray:
     """Raise PoleError if any |denom| < DENOM_FLOOR; return that (all-False) mask."""
     small = np.abs(denom) < DENOM_FLOOR
-    if np.any(small):
+    if small.any():
         raise PoleError(f"{what} below {DENOM_FLOOR:g} in magnitude (at or next to a pole)")
     return small
 

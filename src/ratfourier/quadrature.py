@@ -5,6 +5,15 @@ Kronrod rule, estimate the panel error as the modulus of the difference
 against the embedded 7-point Gauss result, and bisect the worst panel until
 the summed estimate meets the tolerance.  Integrands are called vectorized
 (one call per batch of nodes) and may return real or complex values.
+
+Bookkeeping.  The breakpoints inside (lo, hi), duplicates dropped, cut the
+interval into segments, and max_width cuts each segment into
+ceil(width / max_width) equal panels at left + i * (width / n), the points
+np.linspace gives.  All initial panels go to the integrand in one batch,
+the two halves of each bisection in another; only the rule runs in numpy.
+Between batches the engine works on plain Python floats: a heap of panels
+keyed on (-error estimate, insertion count), a running error estimate, and
+a final exactly rounded math.fsum of the kept panel values.
 """
 
 import heapq
@@ -36,29 +45,37 @@ _WG = np.array([
     0.12948496616886969,
 ])
 _GAUSS_SLOTS = slice(1, 15, 2)  # the 7 Gauss nodes sit at the odd Kronrod slots
+# a panel narrower than this times its largest edge magnitude (at least 1)
+# cannot be bisected meaningfully
+_ROUNDING_FLOOR = 64.0 * float(np.finfo(float).eps)
 
 
 def _eval_panels(f, edges):
-    """Apply the rule to a batch of panels; returns (values, error estimates)."""
-    mid = 0.5 * (edges[:, 0] + edges[:, 1])
-    half = 0.5 * (edges[:, 1] - edges[:, 0])
+    """Apply the rule to a batch of (left, right) panels.
+
+    Returns the panel values and error estimates as lists of Python numbers.
+    """
+    mid = np.array([0.5 * (left + right) for left, right in edges])
+    half = np.array([0.5 * (right - left) for left, right in edges])
     nodes = mid[:, None] + half[:, None] * _XK[None, :]
     fv = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
     resk = (fv @ _WK) * half
     resg = (fv[:, _GAUSS_SLOTS] @ _WG) * half
-    return resk, np.abs(resk - resg)
+    return resk.tolist(), np.abs(resk - resg).tolist()
 
 
 def _initial_edges(lo, hi, breakpoints, max_width):
-    pts = [lo] + sorted(p for p in set(breakpoints) if lo < p < hi) + [hi]
+    pts = ([float(lo)] + sorted(float(p) for p in set(breakpoints) if lo < p < hi)
+           + [float(hi)])
     edges = []
     for left, right in zip(pts, pts[1:]):
         nsub = 1
         if max_width is not None and max_width > 0:
             nsub = max(1, math.ceil((right - left) / max_width))
-        cuts = np.linspace(left, right, nsub + 1)
-        edges.extend(zip(cuts[:-1], cuts[1:]))
-    return np.array(edges)
+        step = (right - left) / nsub
+        cuts = [left + i * step for i in range(nsub)] + [right]
+        edges.extend(zip(cuts, cuts[1:]))
+    return edges
 
 
 def integrate(f, lo, hi, tol, max_panels=10**6, breakpoints=(), max_width=None):
@@ -80,10 +97,8 @@ def integrate(f, lo, hi, tol, max_panels=10**6, breakpoints=(), max_width=None):
     values, errors = _eval_panels(f, edges)
 
     tick = count()  # tie-breaker keeps heap ordering total and deterministic
-    heap = [
-        (-errors[i], next(tick), edges[i, 0], edges[i, 1], values[i], errors[i])
-        for i in range(len(edges))
-    ]
+    heap = [(-err, next(tick), left, right, value, err)
+            for (left, right), value, err in zip(edges, values, errors)]
     heapq.heapify(heap)
     total_err = float(np.sum(errors))
     n_panels = len(heap)
@@ -93,26 +108,20 @@ def integrate(f, lo, hi, tol, max_panels=10**6, breakpoints=(), max_width=None):
             raise ConvergenceError(
                 f"panel budget {max_panels} exhausted (error estimate {total_err:.3e}, tol {tol:.3e})"
             )
-        neg_err, _, left, right, value, err = heapq.heappop(heap)
-        width = right - left
-        if err <= 0.0 or width < 64.0 * np.finfo(float).eps * max(abs(left), abs(right), 1.0):
+        _, _, left, right, _, err = heapq.heappop(heap)
+        if err <= 0.0 or right - left < _ROUNDING_FLOOR * max(abs(left), abs(right), 1.0):
             # worst panel is at the rounding floor; tol is unreachable
-            heapq.heappush(heap, (neg_err, next(tick), left, right, value, err))
             raise ConvergenceError(
                 f"panel refinement hit the rounding floor at estimate {total_err:.3e} "
                 f"(tol {tol:.3e})"
             )
         midpoint = 0.5 * (left + right)
-        sub = np.array([(left, midpoint), (midpoint, right)])
-        vals2, errs2 = _eval_panels(f, sub)
-        total_err += float(errs2.sum()) - err
-        for i in range(2):
-            heapq.heappush(
-                heap, (-errs2[i], next(tick), sub[i, 0], sub[i, 1], vals2[i], errs2[i])
-            )
+        (v1, v2), (e1, e2) = _eval_panels(f, ((left, midpoint), (midpoint, right)))
+        total_err += (e1 + e2) - err
+        heapq.heappush(heap, (-e1, next(tick), left, midpoint, v1, e1))
+        heapq.heappush(heap, (-e2, next(tick), midpoint, right, v2, e2))
         n_panels += 1
 
     # fsum is order-independent, so the heap layout cannot leak into the result
-    re = math.fsum(float(np.real(entry[4])) for entry in heap)
-    im = math.fsum(float(np.imag(entry[4])) for entry in heap)
-    return complex(re, im)
+    values = [entry[4] for entry in heap]
+    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))

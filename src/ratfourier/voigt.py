@@ -12,6 +12,7 @@ integral, and against voigt_inverse_route, which reaches K(x, y) through
 the inverse-transform approximant instead.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,8 +46,30 @@ def _require_gaussian(coeffs, direction):
         )
 
 
-def voigt_residue_complex(coeffs: CoefficientSet, p: VoigtPoint) -> complex:
-    """Full complex value of the residue sum (imaginary part is diagnostic)."""
+def _point_free_factors(coeffs):
+    """The residue sum's factors that do not depend on (x, y), per set.
+
+    They are kept on the coefficient set itself, whose arrays are read-only,
+    so each set computes them once and the cache goes away with the set.
+    """
+    factors = vars(coeffs).get("_voigt_factors")
+    if factors is None:
+        sigma = coeffs.params.sigma
+        a = coeffs.params.a
+        g = coeffs.gamma
+        alpha = coeffs.alpha
+        beta = coeffs.beta
+        gm = g - 1j * sigma
+        gp = g + 1j * sigma
+        num1 = np.exp(-a * (1j * g + sigma)) * (beta - 1j * alpha * g)
+        num2 = 1j * np.exp(a * (1j * g - sigma)) * (alpha * g - 1j * beta)
+        factors = (gm, gp, gm * gm, gp * gp, g * g, num1, num2)
+        object.__setattr__(coeffs, "_voigt_factors", factors)
+    return factors
+
+
+def _residue_terms(coeffs, p):
+    """The 3 * 2^(M-1) residue terms; 2 pi i y times their sum is the contour value."""
     _require_gaussian(coeffs, Direction.FORWARD)
     x, y = p.x, p.y
     sigma = coeffs.params.sigma
@@ -54,32 +77,54 @@ def voigt_residue_complex(coeffs: CoefficientSet, p: VoigtPoint) -> complex:
     g = coeffs.gamma
     alpha = coeffs.alpha
     beta = coeffs.beta
+    gm, gp, gm2, gp2, g2, num1, num2 = _point_free_factors(coeffs)
 
     four_pi2_r2 = 4.0 * math.pi**2 * (x * x + y * y)
-    gm = g - 1j * sigma
-    gp = g + 1j * sigma
-    den1 = g * (four_pi2_r2 + 4.0 * math.pi * x * gm + gm * gm)
-    den2 = g * (four_pi2_r2 - 4.0 * math.pi * x * gp + gp * gp)
+    den1 = g * (four_pi2_r2 + 4.0 * math.pi * x * gm + gm2)
+    den2 = g * (four_pi2_r2 - 4.0 * math.pi * x * gp + gp2)
     w = math.tau * (x + 1j * y) - 1j * sigma
-    den3 = math.tau * y * (g * g - w * w)
+    den3 = math.tau * y * (g2 - w * w)
     for den in (den1, den2, den3):
         check_denominator(den, "residue denominator")
 
-    term1 = np.exp(-a * (1j * g + sigma)) * (beta - 1j * alpha * g) / den1
-    term2 = 1j * np.exp(a * (1j * g - sigma)) * (alpha * g - 1j * beta) / den2
+    term1 = num1 / den1
+    term2 = num2 / den2
     term3 = (1j * np.exp(2j * a * math.pi * (x + 1j * y))
              * (alpha * (math.tau * (y - 1j * x) - sigma) - beta) / den3)
+    return np.concatenate((term1, -term2, term3))
 
-    contributions = np.concatenate((term1, -term2, term3))
-    total = complex(math.fsum(contributions.real), math.fsum(contributions.imag))
-    return math.tau * 1j * y * total
+
+def voigt_residue_complex(coeffs: CoefficientSet, p: VoigtPoint) -> complex:
+    """Full complex value of the residue sum (imaginary part is diagnostic)."""
+    terms = _residue_terms(coeffs, p)
+    total = complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+    return math.tau * 1j * p.y * total
 
 
 def voigt_residue(coeffs: CoefficientSet, p: VoigtPoint) -> float:
-    """Voigt function via the pole-residue sum (real part of the contour value)."""
-    return voigt_residue_complex(coeffs, p).real
+    """Voigt function via the pole-residue sum (real part of the contour value).
+
+    Accuracy at the Voigt preset (gauss-derivative parameters, Gaussian
+    target, M=6), as the maximum relative error against the Faddeeva
+    function, K = Re scipy.special.wofz(x + iy): 1.6e-14 at y=1, 2.3e-11 at
+    y=0.1, 9.4e-10 at y=0.01 and 9.0e-8 at y=1e-4 on 251 x in [-2 pi, 2 pi].
+    At small y the error grows with |x|, where K is smallest: on 2001 x in
+    [0, 100] it reads 1.2e-14, 5.5e-10, 1.9e-8 and 2.1e-6.  The method, not
+    rounding, sets the small-y figures; correctly rounded coefficients give
+    the same ones.
+
+    Cost per point is O(2^M): about 30-45 us at M=6 and 130-160 us at M=10
+    on one core of a 2-core Intel Xeon VM.  The point-free factors of the
+    sum are formed on a set's first call and kept on the set.  At M=10 the
+    exactly rounded math.fsum over the 3 * 2^(M-1) terms is about half of
+    the time.
+    """
+    # Re(2 pi i y (re + i im)) = -2 pi y im: the real parts of the terms
+    # only feed the diagnostic imaginary part, so they are not summed here
+    return -(math.tau * p.y) * math.fsum(_residue_terms(coeffs, p).imag.tolist())
 
 
+@functools.lru_cache(maxsize=128)
 def _gaussian_cutoff(y: float, bound: float) -> float:
     # smallest integer L whose truncated mass min(erfc(L)/(y sqrt(pi)),
     # e^(-L^2)) drops below bound; erfc underflows to 0 by L = 28, so the

@@ -176,14 +176,32 @@ def test_save_load_round_trip(tmp_path, gder_coeffs):
 
 @pytest.mark.parametrize("fixture", ["sinc_coeffs", "gder_coeffs", "gauss_inverse_coeffs"])
 def test_save_load_save_is_byte_identical(tmp_path, request, fixture):
-    # a -0.0 in a set is written as "-0" and read back as +0, so the second
-    # file would differ from the first
+    # the file of a computed set must reload to the same bytes
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     save_coefficients(request.getfixturevalue(fixture), first)
     with warnings.catch_warnings():
         # loading the sinc set repeats its intentional short-grid warning
         warnings.simplefilter("ignore", GridCoverageWarning)
         save_coefficients(load_coefficients(first), second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_negative_zero_survives_the_file(tmp_path, gder_coeffs):
+    # "-0" is how a -0.0 is written; json alone would read it as the integer 0
+    alpha, beta = gder_coeffs.alpha.copy(), gder_coeffs.beta.copy()
+    alpha[0] = complex(-0.0, -0.0)
+    beta[1] = complex(-0.0, 1.5)
+    beta[2] = complex(2.5, -0.0)
+    signed = CoefficientSet(
+        params=gder_coeffs.params, direction=gder_coeffs.direction,
+        target=gder_coeffs.target, alpha=alpha, beta=beta, gamma=gder_coeffs.gamma,
+    )
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    save_coefficients(signed, first)
+    back = load_coefficients(first)
+    assert np.array_equal(np.signbit(back.alpha.view(float)), np.signbit(alpha.view(float)))
+    assert np.array_equal(np.signbit(back.beta.view(float)), np.signbit(beta.view(float)))
+    save_coefficients(back, second)
     assert first.read_bytes() == second.read_bytes()
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ratfourier import ConvergenceError
-from ratfourier.quadrature import integrate
+from ratfourier.quadrature import _XK, integrate
 
 
 def test_polynomial_is_exact_on_one_panel():
@@ -19,12 +19,44 @@ def test_polynomial_is_exact_on_one_panel():
 def test_exponential():
     value = integrate(np.exp, 0.0, 1.0, tol=1e-13)
     assert value.real == pytest.approx(math.e - 1.0, rel=1e-13)
+    # a real integrand sums to a complex result with an exact zero imaginary part
+    assert isinstance(value, complex) and value.imag == 0.0
 
 
 def test_oscillatory_with_width_cap():
     value = integrate(lambda t: np.cos(40.0 * t), 0.0, 3.0, tol=1e-12,
                       max_width=0.05)
     assert value.real == pytest.approx(math.sin(120.0) / 40.0, abs=1e-12)
+
+
+def _first_batch(lo, hi, **kwargs):
+    # the nodes of the initial panels, one row per panel
+    batches = []
+
+    def f(t):
+        batches.append(t.copy())
+        return np.ones_like(t)
+
+    integrate(f, lo, hi, tol=1.0, **kwargs)
+    return batches[0].reshape(-1, 15)
+
+
+def _nodes_of(cuts):
+    left, right = cuts[:-1], cuts[1:]
+    return 0.5 * (left + right)[:, None] + 0.5 * (right - left)[:, None] * _XK
+
+
+def test_outside_and_duplicate_breakpoints_are_ignored():
+    nodes = _first_batch(0.0, 1.0, breakpoints=[-1.0, 0.0, 0.25, 0.25, 1.0, 2.5])
+    assert np.array_equal(nodes, _nodes_of(np.array([0.0, 0.25, 1.0])))
+
+
+def test_width_cap_splits_each_segment_like_linspace():
+    # [0, 0.1] fits in one panel of width <= 0.2 and [0.1, 1] needs 5, whose
+    # last cut is 1 exactly although 0.1 + 5 * (0.9 / 5) is not
+    nodes = _first_batch(0.0, 1.0, breakpoints=[0.1], max_width=0.2)
+    cuts = np.concatenate([np.linspace(0.0, 0.1, 2), np.linspace(0.1, 1.0, 6)[1:]])
+    assert np.array_equal(nodes, _nodes_of(cuts))
 
 
 def test_breakpoint_at_a_kink():
@@ -49,6 +81,12 @@ def test_integrand_receives_batched_array():
     assert all(isinstance(t, np.ndarray) for t in seen)
     # all 15 Kronrod nodes of a panel batch arrive in a single call
     assert all(t.size % 15 == 0 for t in seen)
+
+
+def test_initial_subdivision_over_budget_raises():
+    # max_width=1 cuts [0, 10] into 10 panels before any bisection
+    with pytest.raises(ConvergenceError, match="initial subdivision needs 10 panels"):
+        integrate(np.cos, 0.0, 10.0, tol=1e-6, max_width=1.0, max_panels=5)
 
 
 def test_panel_budget_exhaustion_raises():

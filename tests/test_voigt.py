@@ -34,6 +34,8 @@ def test_residue_imaginary_part_is_noise(gauss_forward_coeffs):
     for x in (0.0, 1.3, -4.0):
         z = voigt_residue_complex(gauss_forward_coeffs, VoigtPoint(x, 1.0))
         assert abs(z.imag) <= 1e-15
+        # voigt_residue sums only the terms that make up the real part
+        assert voigt_residue(gauss_forward_coeffs, VoigtPoint(x, 1.0)) == z.real
 
 
 def test_residue_matches_quadrature(gauss_forward_coeffs):
@@ -42,6 +44,20 @@ def test_residue_matches_quadrature(gauss_forward_coeffs):
         approx = voigt_residue(gauss_forward_coeffs, p)
         ref = voigt_quadrature(p, tol=1e-14)
         assert abs(approx - ref) <= 1e-12
+
+
+# measured max relative error on this grid: 1.59e-14, 2.25e-11, 9.41e-10, 9.02e-8
+@pytest.mark.parametrize("y, bound", [(1.0, 3e-14), (0.1, 3e-11), (0.01, 1.2e-9),
+                                      (1e-4, 1.2e-7)])
+def test_residue_against_wofz(gauss_forward_coeffs, y, bound):
+    # K(x, y) = Re w(x + iy), the Faddeeva function, on 251 x in [-2 pi, 2 pi]
+    from scipy.special import wofz
+
+    xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 251)
+    exact = wofz(xs + 1j * y).real
+    approx = np.array([voigt_residue(gauss_forward_coeffs, VoigtPoint(x, y))
+                       for x in xs.tolist()])
+    assert np.max(np.abs(approx - exact) / exact) <= bound
 
 
 def test_quadrature_frozen_values():
