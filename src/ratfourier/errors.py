@@ -23,12 +23,10 @@ class PoleError(ArithmeticError):
     """A rational-term or pole-residue denominator vanished (evaluation at or near a pole)."""
 
 
-def check_denominator(denom, what: str) -> np.ndarray:
-    """Raise PoleError if any |denom| < DENOM_FLOOR; return that (all-False) mask."""
-    small = np.abs(denom) < DENOM_FLOOR
-    if small.any():
+def check_denominator(denom, what: str) -> None:
+    """Raise PoleError if any |denom| < DENOM_FLOOR."""
+    if (np.abs(denom) < DENOM_FLOOR).any():
         raise PoleError(f"{what} below {DENOM_FLOOR:g} in magnitude (at or next to a pole)")
-    return small
 
 
 class ConvergenceError(RuntimeError):

@@ -11,6 +11,18 @@ evaluator over a uniform inclusive grid and reports the absolute
 difference between a closed-form reference and the REAL part of the
 approximant; comparing against the real part is the convention the
 published validation numbers were produced with.
+
+The pole sum is formed in blocks of max(1, _BLOCK_BYTES // (16 * terms))
+points, so each complex (points x terms) temporary holds 64 KB up to M=13
+and one point's row beyond, and evaluation memory is O(block x terms), not
+O(points x terms).  64 KB stays below glibc's default 128 KB mmap
+threshold, so the heap reuses each temporary's memory block after block
+and a steady-state scan takes no page faults; 256 KB blocks fault on every
+block.  Rows are reduced independently, so the values are bit for bit
+those of one full-size pass.  A 1000-point error_scan of the
+coverage-preserving gauss-derivative sets took 0.55 / 2.4 / 6.4 / 24 / 77 ms
+at M = 6 / 8 / 10 / 12 / 14 (one full-size pass: 0.75 / 2.8 / 8.9 / 52 /
+179 ms), fastest of 20 (5 at M >= 12) on one core of a 2-core Intel Xeon VM.
 """
 
 import math
@@ -22,24 +34,31 @@ from .coefficients import CoefficientSet, Direction, _write_csv
 from .errors import check_denominator, check_direction
 from .targets import ReferenceKind, reference_value
 
+# bytes of one complex (points x terms) temporary per block (module docstring)
+_BLOCK_BYTES = 1 << 16
+
 
 def _evaluate(coeffs, x, direction):
     # e^(w a) Sum_m (alpha_m s + beta_m) / (gamma_m^2 + s^2), s = sigma + w,
     # with w = +2 pi i x forward and its exact negation inverse, so both
-    # directions round identically
+    # directions round identically; each row of a block is reduced on its
+    # own, so blocking changes no bit
     check_direction(coeffs, direction, f"the {direction.value} evaluator")
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     w = math.tau * 1j * x
     if direction is Direction.INVERSE:
         w = -w
-    s = (coeffs.params.sigma + w)[:, None]
-    denom = coeffs.gamma[None, :] ** 2 + s * s
-    # the mask is held until the sum is formed: freeing it first shifts the
-    # glibc heap layout and about doubles the page faults of an M=10 scan
-    small = check_denominator(denom, "denominator gamma_m^2 + s^2")
-    pole_sum = np.sum((coeffs.alpha[None, :] * s + coeffs.beta[None, :]) / denom, axis=1)
-    del small
+    sigma_w = coeffs.params.sigma + w
+    gamma2 = coeffs.gamma[None, :] ** 2
+    alpha, beta = coeffs.alpha[None, :], coeffs.beta[None, :]
+    step = max(1, _BLOCK_BYTES // (16 * len(coeffs.gamma)))
+    pole_sum = np.empty(len(w), dtype=complex)
+    for lo in range(0, len(w), step):
+        s = sigma_w[lo:lo + step, None]
+        denom = gamma2 + s * s
+        check_denominator(denom, "denominator gamma_m^2 + s^2")
+        pole_sum[lo:lo + step] = np.sum((alpha * s + beta) / denom, axis=1)
     out = np.exp(w * coeffs.params.a) * pole_sum
     return complex(out[0]) if scalar else out
 

@@ -2,10 +2,14 @@
 
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from ratfourier import (
     ApproxParams,
@@ -203,6 +207,50 @@ def test_negative_zero_survives_the_file(tmp_path, gder_coeffs):
     assert np.array_equal(np.signbit(back.beta.view(float)), np.signbit(beta.view(float)))
     save_coefficients(back, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+# any finite double, with signed zeros and subnormals drawn often
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310]),
+)
+
+
+@st.composite
+def _coefficient_sets(draw):
+    M = draw(st.integers(1, 5))
+    params = ApproxParams(**dict(GDER_PARAMS, M=M))
+    columns = [np.array(draw(st.lists(_FINITE, min_size=2 * params.terms,
+                                      max_size=2 * params.terms))).view(complex)
+               for _ in range(2)]
+    return CoefficientSet(
+        params=params, direction=draw(st.sampled_from(Direction)),
+        target=draw(st.sampled_from(TargetKind)),
+        alpha=columns[0], beta=columns[1], gamma=gamma_grid(params),
+    )
+
+
+_M2 = ApproxParams(**dict(GDER_PARAMS, M=2))
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_coefficient_sets())
+@example(CoefficientSet(
+    params=_M2, direction=Direction.FORWARD, target=TargetKind.GAUSSIAN,
+    alpha=np.array([-0.0 + 5e-324j, 0.0 - 0.0j]),
+    beta=np.array([-5e-324 - 1.7976931348623157e308j, 2.2250738585072009e-308 + 1.0j]),
+    gamma=gamma_grid(_M2),
+))
+def test_save_load_save_is_byte_identical_for_any_finite_set(coeffs):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        save_coefficients(coeffs, first)
+        back = load_coefficients(first)
+        save_coefficients(back, second)
+        assert first.read_bytes() == second.read_bytes()
+    for name in ("alpha", "beta"):
+        saved, loaded = getattr(coeffs, name).view(float), getattr(back, name).view(float)
+        assert [v.hex() for v in loaded.tolist()] == [v.hex() for v in saved.tolist()]
 
 
 def test_serialization_is_deterministic(tmp_path, sinc_coeffs):

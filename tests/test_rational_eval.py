@@ -6,14 +6,22 @@ import numpy as np
 import pytest
 
 from ratfourier import (
+    Direction,
     DirectionError,
     EvaluationCurve,
     PoleError,
     ReferenceKind,
+    TargetKind,
     error_scan,
     eval_forward,
     eval_inverse,
 )
+from ratfourier.rational_eval import _BLOCK_BYTES
+
+from conftest import GDER_PARAMS, build_coefficients
+
+# gauss-derivative coverage at M=10: N and 1/h scaled by 2^(10-6)
+GDER_M10 = dict(GDER_PARAMS, M=10, N=GDER_PARAMS["N"] * 16, h=GDER_PARAMS["h"] / 16)
 
 
 def test_forward_frozen_values(sinc_coeffs):
@@ -50,6 +58,48 @@ def test_pole_is_reported(sinc_coeffs, gauss_inverse_coeffs):
     t = (gauss_inverse_coeffs.gamma[0] - 1j * q.sigma) / (2.0 * math.pi)
     with pytest.raises(PoleError):
         eval_inverse(gauss_inverse_coeffs, t)
+
+
+@pytest.fixture(scope="module", params=[
+    (GDER_PARAMS, Direction.FORWARD), (GDER_PARAMS, Direction.INVERSE),
+    (GDER_M10, Direction.FORWARD), (GDER_M10, Direction.INVERSE),
+], ids=["M6-forward", "M6-inverse", "M10-forward", "M10-inverse"])
+def blocked_case(request):
+    params, direction = request.param
+    coeffs = build_coefficients(params, TargetKind.GAUSSIAN, direction)
+    evaluate = eval_forward if direction is Direction.FORWARD else eval_inverse
+    step = max(1, _BLOCK_BYTES // (16 * len(coeffs.gamma)))
+    return coeffs, evaluate, step
+
+
+def _hex(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("complex_x", [False, True], ids=["real", "complex"])
+def test_blocked_array_equals_scalars_bitwise(blocked_case, complex_x):
+    # every row of the pole sum is reduced on its own, so the block a point
+    # falls in, and where the blocks start, must not change a bit
+    coeffs, evaluate, step = blocked_case
+    assert step > 1
+    for n in (0, 1, step - 1, step, step + 1, 3 * step + 7):
+        x = np.linspace(-2.0 * math.pi, 2.0 * math.pi, n)
+        if complex_x:
+            x = x + 1j * np.linspace(-0.3, 0.4, n)
+        batch = evaluate(coeffs, x)
+        assert batch.shape == (n,)
+        assert _hex(batch) == _hex(evaluate(coeffs, v) for v in x.tolist())
+
+
+def test_pole_in_last_block_is_reported(blocked_case):
+    coeffs, evaluate, step = blocked_case
+    x = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 3 * step + 7).astype(complex)
+    # forward s = sigma + 2 pi i x meets i*gamma_1, inverse s = sigma - 2 pi i x meets -i*gamma_1
+    sign = 1.0 if evaluate is eval_forward else -1.0
+    x[-1] = (coeffs.gamma[0] + sign * 1j * coeffs.params.sigma) / (2.0 * math.pi)
+    with pytest.raises(PoleError):
+        evaluate(coeffs, x)
+    evaluate(coeffs, x[:-1])
 
 
 def test_inverse_frozen_value(gauss_inverse_coeffs):

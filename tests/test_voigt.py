@@ -8,7 +8,9 @@ import pytest
 from ratfourier import (
     DirectionError,
     PoleError,
+    ReferenceKind,
     VoigtPoint,
+    error_scan,
     voigt_inverse_route,
     voigt_quadrature,
     voigt_residue,
@@ -58,6 +60,28 @@ def test_residue_against_wofz(gauss_forward_coeffs, y, bound):
     approx = np.array([voigt_residue(gauss_forward_coeffs, VoigtPoint(x, y))
                        for x in xs.tolist()])
     assert np.max(np.abs(approx - exact) / exact) <= bound
+
+
+@pytest.fixture(scope="module")
+def gaussian_floor(gauss_forward_coeffs):
+    # sup |Re F_G(nu) - e^(-nu^2)| over |nu| <= 120 (past |nu| = 10 the error
+    # stays below 2e-13); the sup is a narrow peak at nu = 0 that a 48,001-point
+    # grid undershoots enough to fail at y = 1e-4, and 480,001 points do not
+    return error_scan(gauss_forward_coeffs, ReferenceKind.GAUSS, -120.0, 120.0, 480_001).max_abs_diff
+
+
+# measured: sup 1.556e-11; errors 4.4e-16, 8.1e-13, 1.07e-11, 1.475e-11
+@pytest.mark.parametrize("y", [1.0, 0.1, 0.01, 1e-4])
+def test_residue_within_inherited_absolute_bound(gauss_forward_coeffs, gaussian_floor, y):
+    # the residue sum is the unit-mass Lorentzian smoothing of Re F_G, so its
+    # absolute error cannot exceed the Gaussian approximant's sup error
+    from scipy.special import wofz
+
+    xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 251)
+    exact = wofz(xs + 1j * y).real
+    approx = np.array([voigt_residue(gauss_forward_coeffs, VoigtPoint(x, y))
+                       for x in xs.tolist()])
+    assert np.max(np.abs(approx - exact)) <= gaussian_floor
 
 
 def test_quadrature_frozen_values():
