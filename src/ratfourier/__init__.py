@@ -18,7 +18,7 @@ from .errors import (ConvergenceError, DampingError, DirectionError,
                      FileFormatError, PoleError, RangeError)
 from .oracle import (QuadratureSpec, damped_expansion_quadrature,
                      fourier_forward_quadrature)
-from .quadrature import integrate
+from .quadrature import QuadratureResult, integrate
 from .rational_eval import EvaluationCurve, error_scan, eval_forward, eval_inverse
 from .targets import (ApproxParams, GridCoverageWarning, ReferenceKind,
                       SampleSet, TargetKind, rect_surrogate, reference_value,
@@ -32,8 +32,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ApproxParams", "CoefficientSet", "ConvergenceError", "DampingError",
     "Direction", "DirectionError", "EvaluationCurve",
-    "FileFormatError", "GridCoverageWarning", "PoleError", "QuadratureSpec",
-    "RangeError", "ReferenceKind", "SampleSet", "TargetKind", "VoigtPoint",
+    "FileFormatError", "GridCoverageWarning", "PoleError", "QuadratureResult",
+    "QuadratureSpec", "RangeError", "ReferenceKind", "SampleSet", "TargetKind",
+    "VoigtPoint",
     "compute_coefficients", "cosine_sum", "damped_expansion_quadrature",
     "error_scan", "eval_forward", "eval_inverse", "fourier_forward_quadrature",
     "gamma_grid", "gamma_of", "integrate", "load_coefficients",

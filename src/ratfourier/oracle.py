@@ -69,7 +69,7 @@ def fourier_forward_quadrature(target: TargetKind, shift: float, nu: float,
     return integrate(
         integrand, spec.lo, spec.hi, spec.tol,
         max_panels=spec.max_panels, breakpoints=breakpoints, max_width=max_width,
-    )
+    ).value
 
 
 def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
@@ -108,4 +108,4 @@ def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
     return integrate(
         integrand, 0.0, upper, spec.tol,
         max_panels=spec.max_panels, max_width=max_width,
-    )
+    ).value

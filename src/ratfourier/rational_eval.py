@@ -44,6 +44,8 @@ def _evaluate(coeffs, x, direction):
     # directions round identically; each row of a block is reduced on its
     # own, so blocking changes no bit
     check_direction(coeffs, direction, f"the {direction.value} evaluator")
+    if np.ndim(x) > 1:
+        raise ValueError(f"x must be a scalar or a 1-D array (got shape {np.shape(x)})")
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=complex))
     w = math.tau * 1j * x
@@ -64,12 +66,12 @@ def _evaluate(coeffs, x, direction):
 
 
 def eval_forward(coeffs: CoefficientSet, nu):
-    """Forward rational approximant at nu (real scalar or array, complex ok)."""
+    """Forward rational approximant at nu (real scalar or 1-D array, complex ok)."""
     return _evaluate(coeffs, nu, Direction.FORWARD)
 
 
 def eval_inverse(coeffs: CoefficientSet, t):
-    """Inverse rational approximant at t (real scalar or array, complex ok)."""
+    """Inverse rational approximant at t (real scalar or 1-D array, complex ok)."""
     return _evaluate(coeffs, t, Direction.INVERSE)
 
 

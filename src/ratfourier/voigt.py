@@ -150,7 +150,11 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
 
     tol steers the adaptive refinement; it is not a strict bound on the
     error at small y.  At y = 1e-4 and tol = 1e-14 the result lies up to
-    2.9e-14 from scipy.special.wofz, about three times tol.
+    2.6e-14 from 40-digit mpmath values of Re w(x + iy) on 251 x in
+    [-2 pi, 2 pi], about 2.6 times tol; scipy.special.wofz is within
+    4.4e-16 of the same values, so a gap of that size between this
+    reference and wofz is the quadrature's.  At y = 1, 0.1 and 0.01 the
+    worst errors are 5.6e-17, 1.1e-16 and 3.9e-16.
     """
     if not tol >= 1e-15:
         raise ValueError(f"tol >= 1e-15 violated (got {tol})")
@@ -172,7 +176,7 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
     value = integrate(
         integrand, -L, L, tol,
         max_panels=10**6, breakpoints=breakpoints, max_width=1.0,
-    )
+    ).value
     return value.real
 
 
@@ -203,5 +207,5 @@ def voigt_inverse_route(coeffs: CoefficientSet, p: VoigtPoint,
     value = integrate(
         integrand, -halfwidth, halfwidth, tol,
         max_panels=10**6, breakpoints=breakpoints, max_width=max_width,
-    )
+    ).value
     return value.real

@@ -63,6 +63,16 @@ def mpmath_coefficients(samples, dps=40):
     return alpha, beta
 
 
+def mpmath_voigt(x, y, dps=40):
+    """K(x, y) = Re w(x + iy) = Re e^(-z^2) erfc(-iz) in dps-digit arithmetic.
+
+    x and y are taken exactly as binary64 values; the result is rounded once.
+    """
+    with mpmath.workdps(dps):
+        z = mpmath.mpc(x, y)
+        return float(mpmath.re(mpmath.exp(-z * z) * mpmath.erfc(-1j * z)))
+
+
 def brute_forward(samples, nu):
     """Per-(m, n) closed-form evaluation of the damped expansion transform.
 

@@ -1,8 +1,10 @@
-"""Shared fixtures: the two flagship parameter sets and their coefficient sets."""
+"""Shared fixtures: the two flagship parameter sets, their coefficient sets and
+the hypothesis profile."""
 
 import warnings
 
 import pytest
+from hypothesis import settings
 
 from ratfourier import (
     ApproxParams,
@@ -12,6 +14,11 @@ from ratfourier import (
     compute_coefficients,
     sample_grid,
 )
+
+# property tests draw the same examples on every run, and a slow example on
+# a loaded host is not a failure
+settings.register_profile("ratfourier", deadline=None, derandomize=True)
+settings.load_profile("ratfourier")
 
 SINC_PARAMS = dict(a=0.6, M=6, N=28, h=0.04, sigma=2.7, k=35)
 GDER_PARAMS = dict(a=2.0, M=6, N=55, h=0.078, sigma=5.0)

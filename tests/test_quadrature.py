@@ -11,13 +11,13 @@ from ratfourier.quadrature import _XK, integrate
 
 def test_polynomial_is_exact_on_one_panel():
     # the 15-point rule integrates degree-12 monomials without refinement
-    value = integrate(lambda t: t ** 12, 0.0, 2.0, tol=1e-10)
+    value = integrate(lambda t: t ** 12, 0.0, 2.0, tol=1e-10).value
     assert value.real == pytest.approx(2.0 ** 13 / 13.0, rel=1e-14)
     assert value.imag == 0.0
 
 
 def test_exponential():
-    value = integrate(np.exp, 0.0, 1.0, tol=1e-13)
+    value = integrate(np.exp, 0.0, 1.0, tol=1e-13).value
     assert value.real == pytest.approx(math.e - 1.0, rel=1e-13)
     # a real integrand sums to a complex result with an exact zero imaginary part
     assert isinstance(value, complex) and value.imag == 0.0
@@ -25,7 +25,7 @@ def test_exponential():
 
 def test_oscillatory_with_width_cap():
     value = integrate(lambda t: np.cos(40.0 * t), 0.0, 3.0, tol=1e-12,
-                      max_width=0.05)
+                      max_width=0.05).value
     assert value.real == pytest.approx(math.sin(120.0) / 40.0, abs=1e-12)
 
 
@@ -60,12 +60,12 @@ def test_width_cap_splits_each_segment_like_linspace():
 
 
 def test_breakpoint_at_a_kink():
-    value = integrate(np.abs, -1.0, 2.0, tol=1e-13, breakpoints=[0.0])
+    value = integrate(np.abs, -1.0, 2.0, tol=1e-13, breakpoints=[0.0]).value
     assert value.real == pytest.approx(2.5, rel=1e-14)
 
 
 def test_complex_integrand():
-    value = integrate(lambda t: np.exp(2j * math.pi * t), 0.0, 1.0, tol=1e-13)
+    value = integrate(lambda t: np.exp(2j * math.pi * t), 0.0, 1.0, tol=1e-13).value
     assert abs(value) <= 1e-13
 
 
@@ -76,7 +76,7 @@ def test_integrand_receives_batched_array():
         seen.append(t)
         return t ** 2
 
-    value = integrate(f, 0.0, 3.0, tol=1e-12)
+    value = integrate(f, 0.0, 3.0, tol=1e-12).value
     assert value.real == pytest.approx(9.0, rel=1e-14)
     assert all(isinstance(t, np.ndarray) for t in seen)
     # all 15 Kronrod nodes of a panel batch arrive in a single call
@@ -93,6 +93,22 @@ def test_panel_budget_exhaustion_raises():
     with pytest.raises(ConvergenceError):
         integrate(lambda t: np.cos(200.0 * t * t), 0.0, 10.0, tol=1e-13,
                   max_panels=4)
+
+
+@pytest.mark.parametrize("max_panels, calls", [(11, 1), (20, 2)])
+def test_panel_budget_is_checked_before_the_round(max_panels, calls):
+    # max_width=1 gives 10 under-resolved panels; each round bisects all of
+    # them, so a budget of 11 cannot take the first round and 20 fits the
+    # first round (10 -> 20 panels) but not the second
+    batches = []
+
+    def f(t):
+        batches.append(t.size)
+        return np.cos(200.0 * t * t)
+
+    with pytest.raises(ConvergenceError, match=f"panel budget {max_panels} exhausted"):
+        integrate(f, 0.0, 10.0, tol=1e-13, max_width=1.0, max_panels=max_panels)
+    assert batches == [150, 300][:calls]
 
 
 def test_unresolvable_singularity_raises():

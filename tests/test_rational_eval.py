@@ -60,6 +60,16 @@ def test_pole_is_reported(sinc_coeffs, gauss_inverse_coeffs):
         eval_inverse(gauss_inverse_coeffs, t)
 
 
+# (4, 1) and (2, 32) broadcast against the 32 terms at M=6 and were once
+# returned unsummed; (3, 2) broadcasts against nothing
+@pytest.mark.parametrize("shape", [(3, 2), (4, 1), (2, 32)])
+def test_arrays_of_two_or_more_dimensions_are_rejected(sinc_coeffs, gauss_inverse_coeffs,
+                                                        shape):
+    for evaluate, coeffs in ((eval_forward, sinc_coeffs), (eval_inverse, gauss_inverse_coeffs)):
+        with pytest.raises(ValueError, match=rf"got shape \({shape[0]}, {shape[1]}\)"):
+            evaluate(coeffs, np.zeros(shape))
+
+
 @pytest.fixture(scope="module", params=[
     (GDER_PARAMS, Direction.FORWARD), (GDER_PARAMS, Direction.INVERSE),
     (GDER_M10, Direction.FORWARD), (GDER_M10, Direction.INVERSE),
