@@ -53,7 +53,11 @@ def gamma_grid(params: ApproxParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Frozen (alpha, beta, gamma) triple plus the parameters that built it."""
+    """Frozen (alpha, beta, gamma) triple plus the parameters that built it.
+
+    gamma must be gamma_grid(params) bit for bit: the damped-expansion
+    oracle relies on gamma_m = (2m - 1) gamma_1.
+    """
 
     params: ApproxParams
     direction: Direction
@@ -74,8 +78,8 @@ class CoefficientSet:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
-        if np.any(self.gamma <= 0) or np.any(np.diff(self.gamma) <= 0):
-            raise ValueError("gamma grid must be positive and strictly increasing")
+        if not np.array_equal(self.gamma, gamma_grid(self.params)):
+            raise ValueError("gamma must be the odd-harmonic grid gamma_grid(params)")
 
 
 def compute_coefficients(samples: SampleSet, direction: Direction = Direction.FORWARD) -> CoefficientSet:

@@ -8,7 +8,11 @@ sharing no arithmetic with the rational evaluators:
 * damped_expansion_quadrature integrates the damped cosine expansion
   reconstructed from a coefficient set, times the transform kernel, over
   [0, upper].  With upper = infinity the damping envelope e^(-sigma t)
-  justifies truncating where the envelope falls below 1e-18.
+  justifies truncating where the envelope falls below 1e-18.  The
+  odd-harmonic grid gamma_m = (2m - 1) gamma_1, an invariant of every
+  CoefficientSet, turns the expansion into two polynomials in
+  w = e^(2 i gamma_1 t), summed by Horner's rule with one complex
+  exponential per node and O(nodes) memory.
 
 Both refuse |nu| > 100: past that the kernel oscillation would need more
 panels than a spot-check oracle should ever spend.
@@ -72,6 +76,15 @@ def fourier_forward_quadrature(target: TargetKind, shift: float, nu: float,
     ).value
 
 
+def _horner(c, w):
+    # sum_m c_m w^(m-1) by Horner's rule, in place on one (nodes,) array
+    acc = np.full(w.shape, c[-1])
+    for cm in c[-2::-1].tolist():
+        acc *= w
+        acc += cm
+    return acc
+
+
 def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
                                 spec: QuadratureSpec) -> complex:
     """Transform of the damped cosine expansion over [0, upper].
@@ -79,8 +92,15 @@ def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
     The expansion is rebuilt from (alpha, beta, gamma) via the exact
     identity sum_n v_n cos(gamma (t - nh)) = alpha cos(gamma t)
     + (beta/gamma) sin(gamma t) per term, so the integrand matches the
-    pre-rearrangement double-sum form without quadratic cost.  spec.lo and
-    spec.hi are ignored; the domain is dictated by `upper`.
+    pre-rearrangement double-sum form without quadratic cost.  Written as
+    p_m e^(i gamma_m t) + q_m e^(-i gamma_m t), with
+    p_m, q_m = (alpha_m -/+ i beta_m/gamma_m)/2, and with the grid invariant
+    gamma_m = (2m - 1) gamma_1, the bracket is z P(w) + conj(z) Q(conj(w)),
+    z = e^(i gamma_1 t), w = z^2, P and Q the polynomials with coefficients
+    p and q.  Horner's rule sums both on arrays of the nodes' length, so a
+    call costs one complex exponential and O(terms) multiply-adds per node
+    and O(nodes) memory.  spec.lo and spec.hi are ignored; the domain is
+    dictated by `upper`.
     """
     check_direction(coeffs, Direction.FORWARD, "damped-expansion oracle")
     _check_nu(nu)
@@ -95,13 +115,19 @@ def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
         raise ValueError(f"upper > 0 violated (got {upper})")
 
     gamma = coeffs.gamma
-    alpha = coeffs.alpha
     beta_over_gamma = coeffs.beta / gamma
+    p = 0.5 * (coeffs.alpha - 1j * beta_over_gamma)
+    q = 0.5 * (coeffs.alpha + 1j * beta_over_gamma)
+    gamma_1 = float(gamma[0])
 
     def integrand(t):
-        phase = t[:, None] * gamma[None, :]
-        bracket = np.cos(phase) @ alpha + np.sin(phase) @ beta_over_gamma
-        return bracket * np.exp(-(sigma + math.tau * 1j * nu) * t)
+        # gamma_m = (2m-1) gamma_1, so e^(i gamma_m t) = z w^(m-1)
+        z = np.exp(1j * gamma_1 * t)
+        w = z * z
+        bracket = z * _horner(p, w)
+        bracket += z.conjugate() * _horner(q, w.conjugate())
+        bracket *= np.exp(-(sigma + math.tau * 1j * nu) * t)
+        return bracket
 
     osc = 1.0 / (8.0 * abs(nu)) if nu != 0 else math.inf
     max_width = min(4.0 / gamma[-1], osc)

@@ -17,6 +17,8 @@ exp(-nu^2).
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -63,6 +65,9 @@ class ApproxParams:
     sigma  damping constant of the e^(sigma*t) premultiplier
     k      surrogate half-exponent (the rectangle surrogate uses power 2k)
     delta  support margin; documents a = 1/2 + delta for the surrogate
+
+    M, N and k must be integers (numpy integers included) and a, h, sigma
+    and delta finite reals; a violation raises ValueError naming the field.
     """
 
     a: float
@@ -74,6 +79,16 @@ class ApproxParams:
     delta: float = 0.1
 
     def __post_init__(self):
+        for name in ("M", "N", "k"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer (got {value!r})") from None
+        for name in ("a", "h", "sigma", "delta"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ValueError(f"{name} must be a finite real number (got {value!r})")
         if self.M < 1:
             raise ValueError(f"M >= 1 violated (got {self.M})")
         if self.M > MAX_ORDER:
@@ -89,7 +104,7 @@ class ApproxParams:
         if not self.delta > 0:
             raise ValueError(f"delta > 0 violated (got {self.delta})")
         if not math.isfinite(self.period):
-            raise ValueError("period 2^(M+1)*h must be finite")
+            raise ValueError(f"h = {self.h} is too large: the period 2^(M+1)*h overflows")
         if self.N * self.h < 2.0 * self.a:
             warnings.warn(
                 f"sample grid ends at N*h = {self.N * self.h:g} but the shifted target "

@@ -73,6 +73,41 @@ def mpmath_voigt(x, y, dps=40):
         return float(mpmath.re(mpmath.exp(-z * z) * mpmath.erfc(-1j * z)))
 
 
+def mpmath_damped_expansion(coeffs, nu, upper, dps=40):
+    """Transform of the damped expansion over [0, upper], term by term.
+
+    Each term alpha_m cos(g t) + (beta_m / g) sin(g t), g = gamma_m, times
+    e^(-s t) with s = sigma + 2 pi i nu, is integrated in closed form:
+
+        integral_0^u cos(g t) e^(-s t) dt
+            = (s - e^(-s u) (s cos(g u) - g sin(g u))) / (s^2 + g^2),
+        integral_0^u sin(g t) e^(-s t) dt
+            = (g - e^(-s u) (s sin(g u) + g cos(g u))) / (s^2 + g^2),
+
+    whose e^(-s u) parts vanish for u = infinity (sigma > 0).  alpha, beta,
+    gamma, sigma, nu and a finite upper are taken exactly as binary64
+    values; the sum is rounded once.
+    """
+    with mpmath.workdps(dps):
+        s = mpmath.mpf(coeffs.params.sigma) + 2j * mpmath.pi * mpmath.mpf(nu)
+        finite = not math.isinf(upper)
+        if finite:
+            u = mpmath.mpf(upper)
+            decay = mpmath.exp(-s * u)
+        total = mpmath.mpc(0)
+        for alpha, beta, gamma in zip(coeffs.alpha.tolist(), coeffs.beta.tolist(),
+                                      coeffs.gamma.tolist()):
+            g = mpmath.mpf(gamma)
+            cos_int, sin_int = s, g
+            if finite:
+                c, sn = mpmath.cos(g * u), mpmath.sin(g * u)
+                cos_int = s - decay * (s * c - g * sn)
+                sin_int = g - decay * (s * sn + g * c)
+            total += (mpmath.mpc(alpha) * cos_int
+                      + mpmath.mpc(beta) / g * sin_int) / (s * s + g * g)
+        return complex(total)
+
+
 def brute_forward(samples, nu):
     """Per-(m, n) closed-form evaluation of the damped expansion transform.
 

@@ -24,6 +24,13 @@ SINC_PARAMS = dict(a=0.6, M=6, N=28, h=0.04, sigma=2.7, k=35)
 GDER_PARAMS = dict(a=2.0, M=6, N=55, h=0.078, sigma=5.0)
 
 
+def coverage_preserving_gder(M):
+    """GDER_PARAMS at order M with N*h and the period 2^(M+1) h kept."""
+    factor = 2 ** (M - GDER_PARAMS["M"])
+    return dict(GDER_PARAMS, M=M, N=GDER_PARAMS["N"] * factor,
+                h=GDER_PARAMS["h"] / factor)
+
+
 def build_coefficients(params_kwargs, target, direction=Direction.FORWARD):
     """Build a CoefficientSet, silencing the intentional short-grid warning."""
     with warnings.catch_warnings():

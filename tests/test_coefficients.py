@@ -30,7 +30,9 @@ from ratfourier import (
 )
 
 import bruteforce
-from conftest import GDER_PARAMS, SINC_PARAMS, build_coefficients
+from conftest import (
+    GDER_PARAMS, SINC_PARAMS, build_coefficients, coverage_preserving_gder,
+)
 
 
 # --- frequency grid -------------------------------------------------------
@@ -108,17 +110,10 @@ def test_matches_mpmath_reference(params_kwargs, target):
         assert rel <= 4.4e-16, f"{name}: {rel:.2e} of the largest coefficient"
 
 
-def _coverage_preserving_gder(M):
-    # N*h and the period 2^(M+1) h stay at the preset's
-    factor = 2 ** (M - GDER_PARAMS["M"])
-    return dict(GDER_PARAMS, M=M, N=GDER_PARAMS["N"] * factor,
-                h=GDER_PARAMS["h"] / factor)
-
-
 @pytest.mark.parametrize("M", [10, 12])
 def test_higher_orders_keep_criterion_2_accuracy(M):
     # measured: 6.46e-12 at M=10 (N=880) and 6.21e-12 at M=12 (N=3520)
-    coeffs = build_coefficients(_coverage_preserving_gder(M),
+    coeffs = build_coefficients(coverage_preserving_gder(M),
                                 TargetKind.GAUSSIAN_DERIVATIVE)
     curve = error_scan(coeffs, ReferenceKind.NU_GAUSS, -2 * np.pi, 2 * np.pi, 1000)
     assert curve.max_abs_diff < 7.3e-12
@@ -127,7 +122,7 @@ def test_higher_orders_keep_criterion_2_accuracy(M):
 def test_alpha_sum_collapses_at_order_12():
     # the telescoping of test_alpha_sum_collapses_to_first_sample over 2048
     # terms; measured 1.03e-12, 2.3e-16 of max|alpha| = 4499
-    coeffs = build_coefficients(_coverage_preserving_gder(12),
+    coeffs = build_coefficients(coverage_preserving_gder(12),
                                 TargetKind.GAUSSIAN_DERIVATIVE)
     samples = sample_grid(TargetKind.GAUSSIAN_DERIVATIVE, coeffs.params)
     assert (abs(np.sum(coeffs.alpha) - samples.values[0])
@@ -156,6 +151,20 @@ def test_shape_mismatch_rejected(sinc_coeffs):
             alpha=sinc_coeffs.alpha[:5].copy(),
             beta=sinc_coeffs.beta.copy(),
             gamma=sinc_coeffs.gamma.copy(),
+        )
+
+
+def test_off_grid_gamma_rejected(gder_coeffs):
+    # the damped-expansion oracle sums gamma_m = (2m - 1) gamma_1 by Horner's
+    # rule, so a set whose gamma is off that grid by one part in 1e12 is refused
+    with pytest.raises(ValueError, match="gamma_grid"):
+        CoefficientSet(
+            params=gder_coeffs.params,
+            direction=gder_coeffs.direction,
+            target=gder_coeffs.target,
+            alpha=gder_coeffs.alpha.copy(),
+            beta=gder_coeffs.beta.copy(),
+            gamma=gamma_grid(gder_coeffs.params) * (1 + 1e-12),
         )
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ratfourier import (
     ApproxParams,
@@ -45,6 +47,39 @@ def test_invariant_violations_name_the_invariant(field, value, fragment):
     kwargs[field] = value
     with pytest.raises(ValueError, match=fragment):
         ApproxParams(**kwargs)
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_NON_INTEGRAL = st.one_of(st.floats(), st.sampled_from([np.float64(6.0), "6", None]))
+
+# every way a single field can be invalid, the others kept at GDER_PARAMS
+_INVALID = st.one_of(
+    st.tuples(st.just("a"), _NON_FINITE),
+    st.tuples(st.just("h"), st.one_of(_NON_FINITE, st.floats(max_value=0.0),
+                                      st.floats(2.0 ** 1017, 1.7e308))),
+    st.tuples(st.just("sigma"), st.one_of(_NON_FINITE,
+                                          st.floats(max_value=-5e-324))),
+    st.tuples(st.just("delta"), st.one_of(_NON_FINITE, st.floats(max_value=0.0))),
+    st.tuples(st.just("M"), st.one_of(_NON_INTEGRAL, st.integers(max_value=0),
+                                      st.integers(min_value=25))),
+    st.tuples(st.just("N"), st.one_of(_NON_INTEGRAL, st.integers(max_value=-1))),
+    st.tuples(st.just("k"), st.one_of(_NON_INTEGRAL, st.integers(max_value=0))),
+)
+
+
+@given(_INVALID)
+def test_every_invalid_field_is_named(case):
+    field, value = case
+    with pytest.raises(ValueError) as info:
+        ApproxParams(**dict(GDER_PARAMS, **{field: value}))
+    assert str(info.value).startswith(f"{field} ")
+
+
+@pytest.mark.parametrize("field", ["M", "N", "k"])
+def test_numpy_integers_are_accepted(field):
+    kwargs = dict(GDER_PARAMS, k=35)
+    kwargs[field] = np.int64(kwargs[field])
+    assert getattr(ApproxParams(**kwargs), field) == kwargs[field]
 
 
 def test_sigma_zero_is_allowed():

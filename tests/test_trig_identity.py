@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ratfourier import (
     ApproxParams,
@@ -25,6 +27,12 @@ def test_identity_holds_for_all_orders():
         t = rng.uniform(-100.0, 100.0, size=50)
         dev = max(abs(viete_product(ti, M) - cosine_sum(ti, M)) for ti in t)
         assert dev <= 1e-11
+
+
+@given(st.integers(1, 12), st.floats(-100.0, 100.0))
+def test_identity_holds_at_any_point(M, t):
+    # criterion 3 as a property over the whole (M, t) range it claims
+    assert abs(viete_product(t, M) - cosine_sum(t, M)) <= 1e-11
 
 
 def test_identity_at_spot_point():
