@@ -12,8 +12,7 @@ error figure.
 """
 
 from .coefficients import (CoefficientSet, Direction, compute_coefficients,
-                           gamma_grid, gamma_of, load_coefficients,
-                           save_coefficients)
+                           gamma_grid, load_coefficients, save_coefficients)
 from .errors import (ConvergenceError, DampingError, DirectionError,
                      FileFormatError, PoleError, RangeError)
 from .oracle import (QuadratureSpec, damped_expansion_quadrature,
@@ -37,7 +36,7 @@ __all__ = [
     "VoigtPoint",
     "compute_coefficients", "cosine_sum", "damped_expansion_quadrature",
     "error_scan", "eval_forward", "eval_inverse", "fourier_forward_quadrature",
-    "gamma_grid", "gamma_of", "integrate", "load_coefficients",
+    "gamma_grid", "integrate", "load_coefficients",
     "rect_surrogate", "reference_value", "sample_grid", "save_coefficients",
     "sinc_series", "target_value", "viete_product", "voigt_inverse_route",
     "voigt_quadrature", "voigt_residue", "voigt_residue_complex",

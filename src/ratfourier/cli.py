@@ -47,15 +47,13 @@ _VOIGT_BINDING = _PRESET_BINDINGS["gauss-derivative"][0]
 _ALLOWED_REFS = {
     (TargetKind.RECT_SURROGATE, Direction.FORWARD): {ReferenceKind.SINC},
     (TargetKind.RECT_SURROGATE, Direction.INVERSE): {ReferenceKind.SINC},
-    (TargetKind.RECT_SURROGATE_GAUSS_ALT, Direction.FORWARD): {ReferenceKind.SINC},
-    (TargetKind.RECT_SURROGATE_GAUSS_ALT, Direction.INVERSE): {ReferenceKind.SINC},
     (TargetKind.GAUSSIAN_DERIVATIVE, Direction.FORWARD): {ReferenceKind.NU_GAUSS},
     (TargetKind.GAUSSIAN_DERIVATIVE, Direction.INVERSE): set(),
     (TargetKind.GAUSSIAN, Direction.FORWARD): {ReferenceKind.GAUSS},
     (TargetKind.GAUSSIAN, Direction.INVERSE): {ReferenceKind.GAUSS},
 }
 
-_PARAM_NAMES = ("a", "M", "N", "h", "sigma", "k", "delta")
+_PARAM_NAMES = ("a", "M", "N", "h", "sigma", "k")
 _REQUIRED_PARAMS = ("a", "M", "N", "h", "sigma")
 
 
@@ -66,7 +64,6 @@ def _add_param_flags(sub):
     sub.add_argument("--h", type=float)
     sub.add_argument("--sigma", type=float)
     sub.add_argument("--k", type=int)
-    sub.add_argument("--delta", type=float)
     sub.add_argument("--target", choices=[t.value for t in TargetKind])
 
 
@@ -103,7 +100,7 @@ def _resolve_setup(args):
 def _echo_params(params, target, direction):
     print(" ".join((
         f"a={_fmt(params.a)}", f"M={params.M}", f"N={params.N}", f"h={_fmt(params.h)}",
-        f"sigma={_fmt(params.sigma)}", f"k={params.k}", f"delta={_fmt(params.delta)}",
+        f"sigma={_fmt(params.sigma)}", f"k={params.k}",
         f"direction={direction.value}", f"target={target.value}",
     )))
 

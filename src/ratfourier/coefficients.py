@@ -24,7 +24,7 @@ from .targets import ApproxParams, SampleSet, TargetKind
 MAX_SAMPLES = 10_000
 
 _FIELDS = (
-    "a", "M", "N", "h", "sigma", "k", "delta",
+    "a", "M", "N", "h", "sigma", "k",
     "direction", "target", "alpha", "beta", "gamma",
 )
 
@@ -34,21 +34,10 @@ class Direction(Enum):
     INVERSE = "inverse"
 
 
-def _gamma(m, params):
-    return math.pi * (2 * m - 1) / (2 ** params.M * params.h)
-
-
-def gamma_of(m: int, params: ApproxParams) -> float:
-    """Frequency of the m-th expansion term, m counted from 1."""
-    if not 1 <= m <= params.terms:
-        raise RangeError(
-            f"term index m must be in 1..{params.terms} for M={params.M} (got {m})"
-        )
-    return _gamma(m, params)
-
-
 def gamma_grid(params: ApproxParams) -> np.ndarray:
-    return _gamma(np.arange(1, params.terms + 1), params)
+    """Frequencies gamma_m = pi (2m - 1) / (2^M h) of the terms m = 1..2^(M-1)."""
+    m = np.arange(1, params.terms + 1)
+    return math.pi * (2 * m - 1) / (2 ** params.M * params.h)
 
 
 @dataclass(frozen=True)
@@ -146,7 +135,6 @@ def save_coefficients(coeffs: CoefficientSet, path) -> None:
         f'  "h": {_fmt(p.h)},',
         f'  "sigma": {_fmt(p.sigma)},',
         f'  "k": {p.k},',
-        f'  "delta": {_fmt(p.delta)},',
         f'  "direction": "{coeffs.direction.value}",',
         f'  "target": "{coeffs.target.value}",',
         f'  "alpha": [{", ".join(pair(z) for z in coeffs.alpha)}],',
@@ -174,6 +162,11 @@ def _parse_int(text):
     return -0.0 if text == "-0" else int(text)
 
 
+def _real(value):
+    # _fmt writes an integral real as "2", which json reads as an integer
+    return float(value) if isinstance(value, int) else value
+
+
 def load_coefficients(path) -> CoefficientSet:
     """Read a coefficient file back, validating structure and consistency."""
     try:
@@ -192,11 +185,12 @@ def load_coefficients(path) -> CoefficientSet:
         raise FileFormatError(f"coefficient file has unknown fields: {', '.join(extra)}")
 
     try:
+        # no coercion beyond _real: ApproxParams refuses "M": 6.5 or "a": "2.0"
         params = ApproxParams(
-            a=float(raw["a"]), M=int(raw["M"]), N=int(raw["N"]), h=float(raw["h"]),
-            sigma=float(raw["sigma"]), k=int(raw["k"]), delta=float(raw["delta"]),
+            a=_real(raw["a"]), M=raw["M"], N=raw["N"], h=_real(raw["h"]),
+            sigma=_real(raw["sigma"]), k=raw["k"],
         )
-    except (TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise FileFormatError(f"invalid parameters in coefficient file: {exc}") from None
     try:
         direction = Direction(raw["direction"])

@@ -66,7 +66,7 @@ def fourier_forward_quadrature(target: TargetKind, shift: float, nu: float,
         return target_value(target, t - shift, k) * np.exp(-math.tau * 1j * nu * t)
 
     breakpoints = []
-    if target in (TargetKind.RECT_SURROGATE, TargetKind.RECT_SURROGATE_GAUSS_ALT):
+    if target is TargetKind.RECT_SURROGATE:
         # surrogate shoulders: the only places with appreciable curvature
         breakpoints = [shift - 0.5, shift + 0.5]
     max_width = None if nu == 0 else 1.0 / (8.0 * abs(nu))

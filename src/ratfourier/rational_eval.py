@@ -26,7 +26,7 @@ at M = 6 / 8 / 10 / 12 / 14 (one full-size pass: 0.75 / 2.8 / 8.9 / 52 /
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -77,20 +77,18 @@ def eval_inverse(coeffs: CoefficientSet, t):
 
 @dataclass(frozen=True)
 class EvaluationCurve:
-    """One scan: grid, approximant values, reference values, absolute difference."""
+    """One scan: grid, approximant values, reference values, and the
+    absolute difference |reference - Re(approx)| derived from them."""
 
     x: np.ndarray
     approx: np.ndarray
     reference: np.ndarray
-    abs_diff: np.ndarray
+    abs_diff: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        n = len(self.x)
-        if not (len(self.approx) == len(self.reference) == len(self.abs_diff) == n):
+        if not len(self.approx) == len(self.reference) == len(self.x):
             raise ValueError("curve columns must have equal length")
-        recomputed = np.abs(self.reference - self.approx.real)
-        if not np.array_equal(recomputed, self.abs_diff):
-            raise ValueError("abs_diff column inconsistent with reference - Re(approx)")
+        object.__setattr__(self, "abs_diff", np.abs(self.reference - self.approx.real))
         for arr in (self.x, self.approx, self.reference, self.abs_diff):
             arr.setflags(write=False)
 
@@ -117,6 +115,4 @@ def error_scan(coeffs: CoefficientSet, reference: ReferenceKind,
     else:
         approx = eval_inverse(coeffs, x)
     ref = np.asarray(reference_value(reference, x), dtype=float)
-    return EvaluationCurve(
-        x=x, approx=approx, reference=ref, abs_diff=np.abs(ref - approx.real)
-    )
+    return EvaluationCurve(x=x, approx=approx, reference=ref)

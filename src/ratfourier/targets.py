@@ -8,10 +8,9 @@ origin, which is what makes the closed-form integration (and hence the
 rational approximant) valid on the whole positive axis.
 
 Only the catalogue below is supported: the smooth rectangle surrogate
-1/((2t)^(2k) + 1) whose transform approximates sinc(pi*nu), its Gaussian
-alternative exp(-(2t)^(2k)), the odd Gaussian-derivative bump whose
-transform is nu*exp(-nu^2), and the plain Gaussian bump paired with
-exp(-nu^2).
+1/((2t)^(2k) + 1) whose transform approximates sinc(pi*nu), the odd
+Gaussian-derivative bump whose transform is nu*exp(-nu^2), and the plain
+Gaussian bump paired with exp(-nu^2).
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ class TargetKind(Enum):
     """Sampled functions f(t) feeding the coefficient computation."""
 
     RECT_SURROGATE = "rect-surrogate"
-    RECT_SURROGATE_GAUSS_ALT = "rect-surrogate-gauss"
     GAUSSIAN_DERIVATIVE = "gauss-derivative"
     GAUSSIAN = "gauss"
 
@@ -51,7 +49,6 @@ class ReferenceKind(Enum):
     SINC = "sinc"
     NU_GAUSS = "nu-gauss"
     GAUSS = "gauss"
-    RECT = "rect"
 
 
 @dataclass(frozen=True)
@@ -64,10 +61,9 @@ class ApproxParams:
     h      grid step
     sigma  damping constant of the e^(sigma*t) premultiplier
     k      surrogate half-exponent (the rectangle surrogate uses power 2k)
-    delta  support margin; documents a = 1/2 + delta for the surrogate
 
-    M, N and k must be integers (numpy integers included) and a, h, sigma
-    and delta finite reals; a violation raises ValueError naming the field.
+    M, N and k must be integers (numpy integers included) and a, h and
+    sigma finite reals; a violation raises ValueError naming the field.
     """
 
     a: float
@@ -76,7 +72,6 @@ class ApproxParams:
     h: float
     sigma: float
     k: int = 35
-    delta: float = 0.1
 
     def __post_init__(self):
         for name in ("M", "N", "k"):
@@ -85,7 +80,7 @@ class ApproxParams:
                 operator.index(value)
             except TypeError:
                 raise ValueError(f"{name} must be an integer (got {value!r})") from None
-        for name in ("a", "h", "sigma", "delta"):
+        for name in ("a", "h", "sigma"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ValueError(f"{name} must be a finite real number (got {value!r})")
@@ -101,8 +96,6 @@ class ApproxParams:
             raise ValueError(f"k >= 1 violated (got {self.k})")
         if self.N < 0:
             raise ValueError(f"N >= 0 violated (got {self.N})")
-        if not self.delta > 0:
-            raise ValueError(f"delta > 0 violated (got {self.delta})")
         if not math.isfinite(self.period):
             raise ValueError(f"h = {self.h} is too large: the period 2^(M+1)*h overflows")
         if self.N * self.h < 2.0 * self.a:
@@ -129,19 +122,6 @@ class ApproxParams:
         return 1 << (self.M - 1)
 
 
-def _of_power(t, k, f, tail):
-    # f((2t)^(2k)) as an array; past |2t| = 1 the power is e^u, u = 2k log|2t|,
-    # and tail(u) stands in for f where e^u nears overflow (u > 700)
-    x = np.abs(2.0 * np.atleast_1d(np.asarray(t, dtype=float)))
-    out = np.empty_like(x)
-    small = x <= 1.0
-    out[small] = f(x[small] ** (2 * k))
-    if not small.all():
-        u = 2 * k * np.log(x[~small])
-        out[~small] = np.where(u > 700.0, tail(u), f(np.exp(np.minimum(u, 700.0))))
-    return out
-
-
 def rect_surrogate(t, k: int = 35):
     """Smooth stand-in 1/((2t)^(2k) + 1) for the rectangular function.
 
@@ -152,7 +132,15 @@ def rect_surrogate(t, k: int = 35):
     if k < 1:
         raise ValueError(f"k >= 1 violated (got {k})")
     scalar = np.ndim(t) == 0
-    out = _of_power(t, k, lambda p: 1.0 / (p + 1.0), lambda u: np.exp(-u))
+    x = np.abs(2.0 * np.atleast_1d(np.asarray(t, dtype=float)))
+    out = np.empty_like(x)
+    small = x <= 1.0
+    out[small] = 1.0 / (x[small] ** (2 * k) + 1.0)
+    if not small.all():
+        # (2t)^(2k) = e^u, u = 2k log|2t|; past u = 700, e^(-u) is the tail
+        u = 2 * k * np.log(x[~small])
+        out[~small] = np.where(u > 700.0, np.exp(-u),
+                               1.0 / (np.exp(np.minimum(u, 700.0)) + 1.0))
     return float(out[0]) if scalar else out
 
 
@@ -162,8 +150,6 @@ def target_value(kind: TargetKind, t, k: int = 35):
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if kind is TargetKind.RECT_SURROGATE:
         out = rect_surrogate(t, k) + 0j
-    elif kind is TargetKind.RECT_SURROGATE_GAUSS_ALT:
-        out = _of_power(t, k, lambda p: np.exp(-p), lambda u: 0.0) + 0j
     elif kind is TargetKind.GAUSSIAN_DERIVATIVE:
         out = math.pi ** 1.5 * 1j * t * np.exp(-((math.pi * t) ** 2))
     elif kind is TargetKind.GAUSSIAN:
@@ -209,8 +195,7 @@ def sample_grid(target: TargetKind, params: ApproxParams) -> SampleSet:
 def reference_value(kind: ReferenceKind, x):
     """Closed-form reference curves (scalar or array).
 
-    SINC is sin(pi*x)/(pi*x) with the removable singularity filled by 1;
-    RECT is the indicator of |x| < 1/2 with value 1/2 on the boundary.
+    SINC is sin(pi*x)/(pi*x) with the removable singularity filled by 1.
     """
     scalar = np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -220,9 +205,6 @@ def reference_value(kind: ReferenceKind, x):
         out = x * np.exp(-(x**2))
     elif kind is ReferenceKind.GAUSS:
         out = np.exp(-(x**2))
-    elif kind is ReferenceKind.RECT:
-        ax = np.abs(x)
-        out = np.where(ax < 0.5, 1.0, np.where(ax == 0.5, 0.5, 0.0))
     else:
         raise ValueError(f"unknown reference kind {kind!r}")
     return float(out[0]) if scalar else out

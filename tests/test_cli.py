@@ -1,11 +1,12 @@
 """End-to-end command-line behaviour, run in-process through main()."""
 
+import itertools
 import math
 
 import pytest
 
-from ratfourier import load_coefficients
-from ratfourier.cli import main
+from ratfourier import Direction, ReferenceKind, TargetKind, load_coefficients
+from ratfourier.cli import _ALLOWED_REFS, main
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::ratfourier.targets.GridCoverageWarning"
@@ -46,6 +47,12 @@ def test_preset_and_explicit_flags_conflict(tmp_path, capsys):
 
 
 # --- scan -------------------------------------------------------------------
+
+def test_reference_table_is_complete():
+    # a row per (target, direction), and no reference that no row allows
+    assert set(_ALLOWED_REFS) == set(itertools.product(TargetKind, Direction))
+    assert set().union(*_ALLOWED_REFS.values()) == set(ReferenceKind)
+
 
 def test_scan_preset_and_file_routes_agree(tmp_path, capsys):
     path = tmp_path / "c.json"

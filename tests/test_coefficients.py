@@ -23,7 +23,6 @@ from ratfourier import (
     compute_coefficients,
     error_scan,
     gamma_grid,
-    gamma_of,
     load_coefficients,
     sample_grid,
     save_coefficients,
@@ -38,10 +37,10 @@ from conftest import (
 # --- frequency grid -------------------------------------------------------
 
 def test_gamma_frozen_values(sinc_coeffs):
-    p = sinc_coeffs.params
-    assert gamma_of(1, p) == pytest.approx(1.227184630308513, rel=1e-15)
-    assert gamma_of(32, p) == pytest.approx(77.31263170943632, rel=1e-15)
-    assert gamma_of(1, p) == pytest.approx(math.pi / 2.56, rel=1e-15)
+    grid = gamma_grid(sinc_coeffs.params)
+    assert grid[0] == pytest.approx(1.227184630308513, rel=1e-15)
+    assert grid[31] == pytest.approx(77.31263170943632, rel=1e-15)
+    assert grid[0] == pytest.approx(math.pi / 2.56, rel=1e-15)
 
 
 def test_gamma_grid_matches_scalar_form(sinc_coeffs):
@@ -49,13 +48,8 @@ def test_gamma_grid_matches_scalar_form(sinc_coeffs):
     grid = gamma_grid(p)
     assert grid.shape == (32,)
     assert np.all(np.diff(grid) > 0)
-    assert grid[6] == gamma_of(7, p)
-
-
-@pytest.mark.parametrize("m", [0, -3, 33])
-def test_gamma_index_out_of_range(m, sinc_coeffs):
-    with pytest.raises(RangeError):
-        gamma_of(m, sinc_coeffs.params)
+    m = 7
+    assert grid[m - 1] == math.pi * (2 * m - 1) / (2 ** p.M * p.h)
 
 
 # --- coefficient formation ------------------------------------------------
@@ -180,6 +174,8 @@ def test_save_load_round_trip(tmp_path, gder_coeffs):
     save_coefficients(gder_coeffs, path)
     back = load_coefficients(path)
     assert back.params == gder_coeffs.params
+    # the file holds "a": 2 and "sigma": 5; they must come back as floats
+    assert all(type(getattr(back.params, n)) is float for n in ("a", "h", "sigma"))
     assert back.direction is gder_coeffs.direction
     assert back.target is gder_coeffs.target
     assert np.array_equal(back.alpha, gder_coeffs.alpha)
@@ -273,7 +269,7 @@ def test_field_order_is_fixed(tmp_path, sinc_coeffs):
     path = tmp_path / "c.json"
     save_coefficients(sinc_coeffs, path)
     keys = list(json.loads(path.read_text()).keys())
-    assert keys == ["a", "M", "N", "h", "sigma", "k", "delta",
+    assert keys == ["a", "M", "N", "h", "sigma", "k",
                     "direction", "target", "alpha", "beta", "gamma"]
 
 
@@ -302,12 +298,29 @@ def test_extra_field_rejected(tmp_path, sinc_coeffs):
         load_coefficients(path)
 
 
+def test_pre_delta_file_rejected(tmp_path, gder_coeffs):
+    # files written before ApproxParams lost its unused delta are refused
+    path = _dump_mutated(tmp_path, gder_coeffs, lambda d: d.update(delta=0.1))
+    with pytest.raises(FileFormatError, match="unknown fields: delta"):
+        load_coefficients(path)
+
+
 def test_bad_parameter_rejected(tmp_path, sinc_coeffs):
     def mutate(d):
         d["M"] = 0
 
     path = _dump_mutated(tmp_path, sinc_coeffs, mutate)
     with pytest.raises(FileFormatError):
+        load_coefficients(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("M", 6.5), ("N", 55.9), ("k", 35.5), ("a", "2.0"),
+])
+def test_mistyped_parameter_rejected(tmp_path, gder_coeffs, field, value):
+    # the loader coerces nothing that ApproxParams would refuse
+    path = _dump_mutated(tmp_path, gder_coeffs, lambda d: d.update({field: value}))
+    with pytest.raises(FileFormatError, match=f"{field} must be"):
         load_coefficients(path)
 
 

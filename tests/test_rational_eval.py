@@ -150,11 +150,7 @@ def test_curve_rejects_inconsistent_columns():
     approx = np.full(5, 0.5 + 0.0j)
     ref = np.ones(5)
     with pytest.raises(ValueError):
-        EvaluationCurve(x=x, approx=approx, reference=ref,
-                        abs_diff=np.full(5, 0.123))
-    with pytest.raises(ValueError):
-        EvaluationCurve(x=x, approx=approx[:4], reference=ref,
-                        abs_diff=np.abs(ref - approx.real))
+        EvaluationCurve(x=x, approx=approx[:4], reference=ref)
 
 
 def test_curve_writer_round_trips(tmp_path, sinc_coeffs):

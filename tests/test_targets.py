@@ -39,7 +39,6 @@ def test_period_and_term_count():
         ("sigma", -1.0, "sigma >= 0"),
         ("k", 0, "k >= 1"),
         ("N", -1, "N >= 0"),
-        ("delta", 0.0, "delta > 0"),
     ],
 )
 def test_invariant_violations_name_the_invariant(field, value, fragment):
@@ -59,7 +58,6 @@ _INVALID = st.one_of(
                                       st.floats(2.0 ** 1017, 1.7e308))),
     st.tuples(st.just("sigma"), st.one_of(_NON_FINITE,
                                           st.floats(max_value=-5e-324))),
-    st.tuples(st.just("delta"), st.one_of(_NON_FINITE, st.floats(max_value=0.0))),
     st.tuples(st.just("M"), st.one_of(_NON_INTEGRAL, st.integers(max_value=0),
                                       st.integers(min_value=25))),
     st.tuples(st.just("N"), st.one_of(_NON_INTEGRAL, st.integers(max_value=-1))),
@@ -151,10 +149,6 @@ def test_reference_catalogue():
     assert reference_value(ReferenceKind.NU_GAUSS, 2.0) == pytest.approx(
         2.0 * math.exp(-4.0)
     )
-    # rect takes the half-value convention on its boundary
-    assert reference_value(ReferenceKind.RECT, 0.5) == 0.5
-    assert reference_value(ReferenceKind.RECT, 0.49) == 1.0
-    assert reference_value(ReferenceKind.RECT, 0.51) == 0.0
 
 
 # --- damped sampling ------------------------------------------------------
