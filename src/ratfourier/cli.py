@@ -5,7 +5,7 @@ against a closed-form reference), identity-check (cosine product-to-sum
 identity sweep), voigt (residue evaluator vs. integral reference), oracle
 (direct-transform spot check).  Every subcommand ends with a
 machine-parseable key=value summary line.  Exit codes: 0 success,
-1 property breach, 2 validation error, 3 incompatible request.
+1 property breach, 2 validation error.
 """
 
 import argparse
@@ -16,7 +16,7 @@ import numpy as np
 
 from .coefficients import (Direction, _fmt, _write_csv, compute_coefficients,
                            load_coefficients, save_coefficients)
-from .errors import ConvergenceError, DirectionError
+from .errors import ConvergenceError
 from .oracle import QuadratureSpec, fourier_forward_quadrature
 from .rational_eval import error_scan
 from .targets import ApproxParams, ReferenceKind, TargetKind, sample_grid
@@ -26,7 +26,6 @@ from .voigt import VoigtPoint, voigt_quadrature, voigt_residue
 EXIT_OK = 0
 EXIT_BREACH = 1
 EXIT_INVALID = 2
-EXIT_INCOMPATIBLE = 3
 
 
 # preset name -> (ApproxParams fields, target); presets are forward sets
@@ -41,16 +40,16 @@ _PRESET_BINDINGS = {
 _VOIGT_BINDING = _PRESET_BINDINGS["gauss-derivative"][0]
 
 
-# which references a scan can be meaningfully compared against, per
-# (target, direction): the reference must equal the transform (forward) or
-# inverse transform (inverse) of the sampled target
-_ALLOWED_REFS = {
-    (TargetKind.RECT_SURROGATE, Direction.FORWARD): {ReferenceKind.SINC},
-    (TargetKind.RECT_SURROGATE, Direction.INVERSE): {ReferenceKind.SINC},
-    (TargetKind.GAUSSIAN_DERIVATIVE, Direction.FORWARD): {ReferenceKind.NU_GAUSS},
-    (TargetKind.GAUSSIAN_DERIVATIVE, Direction.INVERSE): set(),
-    (TargetKind.GAUSSIAN, Direction.FORWARD): {ReferenceKind.GAUSS},
-    (TargetKind.GAUSSIAN, Direction.INVERSE): {ReferenceKind.GAUSS},
+# the reference a scan compares against, per (target, direction): the
+# transform (forward) or inverse transform (inverse) of the sampled target.
+# The inverse transform of the gauss-derivative target has no row: it is
+# not among the closed-form references
+_REFERENCES = {
+    (TargetKind.RECT_SURROGATE, Direction.FORWARD): ReferenceKind.SINC,
+    (TargetKind.RECT_SURROGATE, Direction.INVERSE): ReferenceKind.SINC,
+    (TargetKind.GAUSSIAN_DERIVATIVE, Direction.FORWARD): ReferenceKind.NU_GAUSS,
+    (TargetKind.GAUSSIAN, Direction.FORWARD): ReferenceKind.GAUSS,
+    (TargetKind.GAUSSIAN, Direction.INVERSE): ReferenceKind.GAUSS,
 }
 
 _PARAM_NAMES = ("a", "M", "N", "h", "sigma", "k")
@@ -63,13 +62,22 @@ def _add_param_flags(sub):
     sub.add_argument("--N", type=int)
     sub.add_argument("--h", type=float)
     sub.add_argument("--sigma", type=float)
+
+
+def _add_setup_flags(sub):
+    # coeffs and scan; voigt takes the parameter flags alone
+    _add_param_flags(sub)
     sub.add_argument("--k", type=int)
     sub.add_argument("--target", choices=[t.value for t in TargetKind])
+    sub.add_argument("--preset", choices=sorted(_PRESET_BINDINGS))
+    sub.add_argument("--direction", choices=[d.value for d in Direction])
 
 
 def _explicit_params(args):
     """ApproxParams from the explicit parameter flags; None when none is given."""
-    explicit = {n: getattr(args, n) for n in _PARAM_NAMES if getattr(args, n) is not None}
+    # voigt has no --k: its Gaussian target does not use k
+    given = {n: getattr(args, n, None) for n in _PARAM_NAMES}
+    explicit = {n: v for n, v in given.items() if v is not None}
     if not explicit:
         return None
     missing = [n for n in _REQUIRED_PARAMS if n not in explicit]
@@ -78,10 +86,14 @@ def _explicit_params(args):
     return ApproxParams(**explicit)
 
 
+def _has_explicit_setup(args):
+    """Whether a parameter flag, --target or --direction is given."""
+    return any(getattr(args, n) is not None for n in ("target", "direction", *_PARAM_NAMES))
+
+
 def _resolve_setup(args):
     """Turn preset/explicit flags into (params, target, direction)."""
-    flags = (args.target, args.direction, *(getattr(args, n) for n in _PARAM_NAMES))
-    if args.preset is not None and any(f is not None for f in flags):
+    if args.preset is not None and _has_explicit_setup(args):
         raise ValueError("--preset and explicit parameter flags are mutually exclusive")
     params = _explicit_params(args)
     if params is None and args.target is None:
@@ -118,25 +130,18 @@ def cmd_coeffs(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.coeffs is not None:
-        if args.preset is not None:
-            raise ValueError("--coeffs and --preset are mutually exclusive")
+        if args.preset is not None or _has_explicit_setup(args):
+            raise ValueError("--coeffs excludes --preset and explicit parameter flags")
         coeffs = load_coefficients(args.coeffs)
     else:
         params, target, direction = _resolve_setup(args)
         coeffs = compute_coefficients(sample_grid(target, params), direction)
 
-    key = (coeffs.target, coeffs.direction)
-    allowed = _ALLOWED_REFS.get(key, set())
-    if args.ref is not None:
-        ref = ReferenceKind(args.ref)
-    elif len(allowed) == 1:
-        ref = next(iter(allowed))
-    else:
-        raise ValueError("no default reference for this target/direction; pass --ref")
-    if ref not in allowed:
-        raise DirectionError(
-            f"reference {ref.value} is not the {coeffs.direction.value} transform of "
-            f"target {coeffs.target.value}"
+    ref = _REFERENCES.get((coeffs.target, coeffs.direction))
+    if ref is None:
+        raise ValueError(
+            f"no closed-form reference for the {coeffs.direction.value} transform "
+            f"of target {coeffs.target.value}"
         )
 
     curve = error_scan(coeffs, ref, args.lo, args.hi, args.n)
@@ -173,8 +178,6 @@ def cmd_voigt(args) -> int:
         raise ValueError(f"lo <= hi violated (got {args.lo}, {args.hi})")
     if args.lo == args.hi and args.n != 1:
         raise ValueError("lo == hi needs n=1")
-    if args.target is not None and TargetKind(args.target) is not TargetKind.GAUSSIAN:
-        raise ValueError("the Voigt evaluator needs the gauss target")
     params = _explicit_params(args) or ApproxParams(**_VOIGT_BINDING)
     coeffs = compute_coefficients(sample_grid(TargetKind.GAUSSIAN, params),
                                   Direction.FORWARD)
@@ -213,22 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p_coeffs = sub.add_parser("coeffs", help="compute and save a coefficient file")
-    _add_param_flags(p_coeffs)
+    _add_setup_flags(p_coeffs)
     p_coeffs.add_argument("--out", required=False)
 
-    p_scan = sub.add_parser("scan", help="error-scan an approximant against a reference")
-    _add_param_flags(p_scan)
+    p_scan = sub.add_parser("scan", help="error-scan an approximant against its reference")
+    _add_setup_flags(p_scan)
     p_scan.add_argument("--coeffs", help="load coefficients from a file instead")
-    p_scan.add_argument("--ref", choices=[r.value for r in ReferenceKind])
     p_scan.add_argument("--lo", type=float, default=-math.tau)
     p_scan.add_argument("--hi", type=float, default=math.tau)
     p_scan.add_argument("--n", type=int, default=1000)
     p_scan.add_argument("--out")
-
-    # voigt always builds forward Gaussian coefficients: no preset, no direction
-    for p in (p_coeffs, p_scan):
-        p.add_argument("--preset", choices=sorted(_PRESET_BINDINGS))
-        p.add_argument("--direction", choices=[d.value for d in Direction])
 
     p_ident = sub.add_parser("identity-check", help="verify the product-to-sum identity")
     p_ident.add_argument("--m-min", type=int, default=1)
@@ -236,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ident.add_argument("--samples", type=int, default=200)
     p_ident.add_argument("--seed", type=int, default=42)
 
+    # voigt always builds forward Gaussian coefficients: no preset, no
+    # direction, no target and no k
     p_voigt = sub.add_parser("voigt", help="Voigt residue evaluation vs. integral reference")
     _add_param_flags(p_voigt)
     p_voigt.add_argument("--y", type=float, required=True)
@@ -276,9 +275,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(["scan", "--preset", "sinc"])
     try:
         return _HANDLERS[args.command](args)
-    except DirectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
     except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -12,7 +12,8 @@ Direction tags whether the samples came from the original function
 
 import json
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -44,8 +45,9 @@ def gamma_grid(params: ApproxParams) -> np.ndarray:
 class CoefficientSet:
     """Frozen (alpha, beta, gamma) triple plus the parameters that built it.
 
-    gamma must be gamma_grid(params) bit for bit: the damped-expansion
-    oracle relies on gamma_m = (2m - 1) gamma_1.
+    gamma is not an argument: it is gamma_grid(params), so every set holds
+    the grid gamma_m = (2m - 1) gamma_1 that the damped-expansion oracle
+    relies on.
     """
 
     params: ApproxParams
@@ -53,9 +55,10 @@ class CoefficientSet:
     target: TargetKind
     alpha: np.ndarray
     beta: np.ndarray
-    gamma: np.ndarray
+    gamma: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "gamma", gamma_grid(self.params))
         terms = self.params.terms
         for name in ("alpha", "beta", "gamma"):
             arr = getattr(self, name)
@@ -67,8 +70,6 @@ class CoefficientSet:
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
-        if not np.array_equal(self.gamma, gamma_grid(self.params)):
-            raise ValueError("gamma must be the odd-harmonic grid gamma_grid(params)")
 
 
 def compute_coefficients(samples: SampleSet, direction: Direction = Direction.FORWARD) -> CoefficientSet:
@@ -105,7 +106,6 @@ def compute_coefficients(samples: SampleSet, direction: Direction = Direction.FO
         target=samples.target,
         alpha=alpha,
         beta=beta,
-        gamma=gamma_grid(params),
     )
 
 
@@ -145,14 +145,20 @@ def save_coefficients(coeffs: CoefficientSet, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _is_double(value):
+    # a json number that a finite double holds; json's true is an int to Python
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _complex_column(raw, name, terms):
     if not isinstance(raw, list) or len(raw) != terms:
         raise FileFormatError(f"{name} must be a list of {terms} [re, im] pairs")
     out = np.empty(terms, dtype=complex)
     for i, entry in enumerate(raw):
         if (not isinstance(entry, list) or len(entry) != 2
-                or not all(isinstance(v, (int, float)) for v in entry)):
-            raise FileFormatError(f"{name}[{i}] is not a [re, im] pair")
+                or not all(_is_double(v) for v in entry)):
+            raise FileFormatError(f"{name}[{i}] is not a [re, im] pair of finite numbers")
         out[i] = complex(entry[0], entry[1])
     return out
 
@@ -160,11 +166,6 @@ def _complex_column(raw, name, terms):
 def _parse_int(text):
     # _fmt writes a negative zero as "-0", which is an integer to json
     return -0.0 if text == "-0" else int(text)
-
-
-def _real(value):
-    # _fmt writes an integral real as "2", which json reads as an integer
-    return float(value) if isinstance(value, int) else value
 
 
 def load_coefficients(path) -> CoefficientSet:
@@ -185,12 +186,12 @@ def load_coefficients(path) -> CoefficientSet:
         raise FileFormatError(f"coefficient file has unknown fields: {', '.join(extra)}")
 
     try:
-        # no coercion beyond _real: ApproxParams refuses "M": 6.5 or "a": "2.0"
+        # no coercion: ApproxParams refuses "M": 6.5, "a": "2.0" or "a": true,
+        # and stores the "a": 2 that _fmt writes for 2.0 as a float
         params = ApproxParams(
-            a=_real(raw["a"]), M=raw["M"], N=raw["N"], h=_real(raw["h"]),
-            sigma=_real(raw["sigma"]), k=raw["k"],
+            a=raw["a"], M=raw["M"], N=raw["N"], h=raw["h"], sigma=raw["sigma"], k=raw["k"],
         )
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise FileFormatError(f"invalid parameters in coefficient file: {exc}") from None
     try:
         direction = Direction(raw["direction"])
@@ -200,13 +201,13 @@ def load_coefficients(path) -> CoefficientSet:
 
     alpha = _complex_column(raw["alpha"], "alpha", params.terms)
     beta = _complex_column(raw["beta"], "beta", params.terms)
-    gamma_stored = np.asarray(raw["gamma"], dtype=float)
-    expected = gamma_grid(params)
-    if gamma_stored.shape != expected.shape or not np.allclose(
-            gamma_stored, expected, rtol=1e-14, atol=0.0):
-        raise FileFormatError("gamma grid does not match the stored (M, h)")
-    # keep the recomputed grid so downstream arithmetic sees exact doubles
-    return CoefficientSet(
-        params=params, direction=direction, target=target,
-        alpha=alpha, beta=beta, gamma=expected,
+    coeffs = CoefficientSet(
+        params=params, direction=direction, target=target, alpha=alpha, beta=beta,
     )
+    # gamma is derived from (M, h); the file's copy is only checked against it
+    stored = raw["gamma"]
+    if (not isinstance(stored, list) or len(stored) != params.terms
+            or not all(_is_double(g) for g in stored)
+            or not np.allclose(stored, coeffs.gamma, rtol=1e-14, atol=0.0)):
+        raise FileFormatError("gamma grid does not match the stored (M, h)")
+    return coeffs

@@ -34,20 +34,17 @@ _ENVELOPE_CUTOFF = 1e-18
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Domain, tolerance and panel budget for one oracle integration."""
+    """Domain and tolerance for one oracle integration."""
 
     lo: float
     hi: float
     tol: float
-    max_panels: int = 10**6
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"lo < hi violated (got {self.lo}, {self.hi})")
         if not self.tol >= 1e-15:
             raise ValueError(f"tol >= 1e-15 violated (got {self.tol})")
-        if not 0 < self.max_panels <= 10**7:
-            raise ValueError(f"0 < max_panels <= 1e7 violated (got {self.max_panels})")
 
 
 def _check_nu(nu):
@@ -71,8 +68,7 @@ def fourier_forward_quadrature(target: TargetKind, shift: float, nu: float,
         breakpoints = [shift - 0.5, shift + 0.5]
     max_width = None if nu == 0 else 1.0 / (8.0 * abs(nu))
     return integrate(
-        integrand, spec.lo, spec.hi, spec.tol,
-        max_panels=spec.max_panels, breakpoints=breakpoints, max_width=max_width,
+        integrand, spec.lo, spec.hi, spec.tol, breakpoints=breakpoints, max_width=max_width,
     ).value
 
 
@@ -131,7 +127,4 @@ def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
 
     osc = 1.0 / (8.0 * abs(nu)) if nu != 0 else math.inf
     max_width = min(4.0 / gamma[-1], osc)
-    return integrate(
-        integrand, 0.0, upper, spec.tol,
-        max_panels=spec.max_panels, max_width=max_width,
-    ).value
+    return integrate(integrand, 0.0, upper, spec.tol, max_width=max_width).value

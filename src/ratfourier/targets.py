@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import sys
 import warnings
 from dataclasses import dataclass
@@ -63,7 +62,9 @@ class ApproxParams:
     k      surrogate half-exponent (the rectangle surrogate uses power 2k)
 
     M, N and k must be integers (numpy integers included) and a, h and
-    sigma finite reals; a violation raises ValueError naming the field.
+    sigma real numbers, not bools, and each must be finite and within the
+    double range; a violation raises ValueError naming the field.  a, h
+    and sigma are stored as float.
     """
 
     a: float
@@ -74,16 +75,19 @@ class ApproxParams:
     k: int = 35
 
     def __post_init__(self):
-        for name in ("M", "N", "k"):
+        for name in ("a", "M", "N", "h", "sigma", "k"):
             value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer (got {value!r})") from None
+            if name in ("M", "N", "k"):
+                kind, noun = numbers.Integral, "an integer"
+            else:
+                kind, noun = numbers.Real, "a real number"
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {noun} (got {value!r})")
+            # not repr(value): an integer past the double range may have too many digits
+            if not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite and within the double range")
         for name in ("a", "h", "sigma"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ValueError(f"{name} must be a finite real number (got {value!r})")
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.M < 1:
             raise ValueError(f"M >= 1 violated (got {self.M})")
         if self.M > MAX_ORDER:
@@ -103,7 +107,7 @@ class ApproxParams:
                 f"sample grid ends at N*h = {self.N * self.h:g} but the shifted target "
                 f"effectively covers [0, {2.0 * self.a:g}]",
                 GridCoverageWarning,
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and the generated __init__
             )
 
     @property

@@ -24,6 +24,10 @@ from .quadrature import integrate
 from .rational_eval import eval_inverse
 from .targets import TargetKind
 
+# voigt_inverse_route's integration range and tolerance
+_ROUTE_HALFWIDTH = 400.0
+_ROUTE_TOL = 1e-11
+
 
 @dataclass(frozen=True)
 class VoigtPoint:
@@ -173,27 +177,21 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
             breakpoints.extend((x - width, x + width))
             width *= 3.0
         breakpoints.append(x)
-    value = integrate(
-        integrand, -L, L, tol,
-        max_panels=10**6, breakpoints=breakpoints, max_width=1.0,
-    ).value
+    value = integrate(integrand, -L, L, tol, breakpoints=breakpoints, max_width=1.0).value
     return value.real
 
 
-def voigt_inverse_route(coeffs: CoefficientSet, p: VoigtPoint,
-                        halfwidth: float = 400.0, tol: float = 1e-11) -> float:
+def voigt_inverse_route(coeffs: CoefficientSet, p: VoigtPoint) -> float:
     """K(x, y) through the inverse-transform approximant.
 
     Pairs the inverse approximant of e^(-t^2) with the Lorentzian kernel
-    h(t) = y / (pi (y^2 + (x - t)^2)) and integrates over [-halfwidth,
-    halfwidth].  No closed-form residue algebra exists for this route; the
-    truncation is set by the approximant's O(1/t^2) far tail (its damping
-    envelope in the transform variable does not decay along the real t
-    axis), so halfwidth trades runtime against the tail bias.
+    h(t) = y / (pi (y^2 + (x - t)^2)) and integrates over [-400, 400] to
+    tolerance 1e-11.  No closed-form residue algebra exists for this route;
+    the truncation is set by the approximant's O(1/t^2) far tail (its
+    damping envelope in the transform variable does not decay along the
+    real t axis), so the half-width trades runtime against the tail bias.
     """
     _require_gaussian(coeffs, Direction.INVERSE)
-    if not halfwidth > 0:
-        raise ValueError(f"halfwidth > 0 violated (got {halfwidth})")
     x, y = p.x, p.y
 
     def integrand(t):
@@ -201,11 +199,11 @@ def voigt_inverse_route(coeffs: CoefficientSet, p: VoigtPoint,
         return eval_inverse(coeffs, t) * lorentz
 
     breakpoints = []
-    if -halfwidth < x < halfwidth:
+    if -_ROUTE_HALFWIDTH < x < _ROUTE_HALFWIDTH:
         breakpoints = [x - y, x, x + y]
     max_width = 1.0 / (8.0 * max(coeffs.params.a, 1.0))
     value = integrate(
-        integrand, -halfwidth, halfwidth, tol,
-        max_panels=10**6, breakpoints=breakpoints, max_width=max_width,
+        integrand, -_ROUTE_HALFWIDTH, _ROUTE_HALFWIDTH, _ROUTE_TOL,
+        breakpoints=breakpoints, max_width=max_width,
     ).value
     return value.real

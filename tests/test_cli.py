@@ -1,12 +1,14 @@
 """End-to-end command-line behaviour, run in-process through main()."""
 
+import argparse
 import itertools
 import math
+from pathlib import Path
 
 import pytest
 
 from ratfourier import Direction, ReferenceKind, TargetKind, load_coefficients
-from ratfourier.cli import _ALLOWED_REFS, main
+from ratfourier.cli import _REFERENCES, build_parser, main
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::ratfourier.targets.GridCoverageWarning"
@@ -41,17 +43,24 @@ def test_coeffs_requires_out(capsys):
 
 
 def test_preset_and_explicit_flags_conflict(tmp_path, capsys):
-    rc = main(["coeffs", "--preset", "sinc", "--a", "1.0",
-               "--out", str(tmp_path / "c.json")])
+    path = tmp_path / "c.json"
+    rc = main(["coeffs", "--preset", "sinc", "--a", "1.0", "--out", str(path)])
     assert rc == 2
+    # a coefficient file fixes every parameter, so scan --coeffs takes none
+    assert main(["coeffs", "--preset", "sinc", "--out", str(path)]) == 0
+    for flags in (["--preset", "sinc"],
+                  ["--M", "9", "--target", "gauss", "--direction", "inverse", "--a", "5"]):
+        assert main(["scan", "--coeffs", str(path), *flags]) == 2
 
 
 # --- scan -------------------------------------------------------------------
 
 def test_reference_table_is_complete():
-    # a row per (target, direction), and no reference that no row allows
-    assert set(_ALLOWED_REFS) == set(itertools.product(TargetKind, Direction))
-    assert set().union(*_ALLOWED_REFS.values()) == set(ReferenceKind)
+    # a row per (target, direction) but the gauss-derivative inverse, and
+    # every reference in some row
+    missing = set(itertools.product(TargetKind, Direction)) - set(_REFERENCES)
+    assert missing == {(TargetKind.GAUSSIAN_DERIVATIVE, Direction.INVERSE)}
+    assert set(_REFERENCES.values()) == set(ReferenceKind)
 
 
 def test_scan_preset_and_file_routes_agree(tmp_path, capsys):
@@ -87,8 +96,10 @@ def test_scan_writes_curve_file(tmp_path, capsys):
 
 
 def test_scan_incompatible_reference(capsys):
-    assert main(["scan", "--preset", "sinc", "--ref", "nu-gauss"]) == 3
-    assert capsys.readouterr().err.startswith("error:")
+    # the reference follows from (target, direction); there is no --ref
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--preset", "sinc", "--ref", "nu-gauss"])
+    assert exc.value.code == 2
 
 
 def test_scan_without_default_reference(capsys):
@@ -96,6 +107,7 @@ def test_scan_without_default_reference(capsys):
                "--sigma", "5", "--target", "gauss-derivative",
                "--direction", "inverse"])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("error: no closed-form reference")
 
 
 def test_bare_invocation_runs_the_flagship(capsys):
@@ -105,6 +117,14 @@ def test_bare_invocation_runs_the_flagship(capsys):
                         "scanning the sinc preset on [-2pi, 2pi]")
     assert lines[-1].startswith("max_abs_diff=")
     assert _value_of(lines[-1]) < 3.2e-3
+
+
+def test_readme_transcript_matches(capsys):
+    # the README's `$ ratfourier` block, line by line
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("$ ratfourier\n", 1)[1].split("```", 1)[0]
+    assert main([]) == 0
+    assert _lines(capsys) == block.strip().splitlines()
 
 
 def test_missing_parameters_fall_back_to_preset(capsys):
@@ -162,7 +182,7 @@ def test_voigt_curve_file(tmp_path, capsys):
 def test_voigt_explicit_parameters(capsys):
     rc = main(["voigt", "--y", "1", "--lo", "0", "--hi", "0", "--n", "1",
                "--a", "2", "--M", "6", "--N", "55", "--h", "0.078",
-               "--sigma", "5", "--target", "gauss"])
+               "--sigma", "5"])
     assert rc == 0
 
 
@@ -173,16 +193,17 @@ def test_voigt_explicit_parameters(capsys):
         ["--y", "1", "--n", "0"],
         ["--y", "1", "--lo", "2", "--hi", "-2"],
         ["--y", "1", "--lo", "0", "--hi", "0", "--n", "2"],
-        ["--y", "1", "--target", "rect-surrogate"],
     ],
 )
 def test_voigt_validation(flags, capsys):
     assert main(["voigt", *flags]) == 2
 
 
-@pytest.mark.parametrize("flags", [["--preset", "sinc"], ["--direction", "inverse"]])
+@pytest.mark.parametrize("flags", [["--preset", "sinc"], ["--direction", "inverse"],
+                                   ["--target", "rect-surrogate"], ["--k", "35"]])
 def test_voigt_rejects_preset_and_direction(flags, capsys):
-    # voigt always builds forward Gaussian coefficients; these flags are usage errors
+    # voigt always builds forward Gaussian coefficients, whose target does not
+    # use k; these flags are usage errors
     with pytest.raises(SystemExit) as exc:
         main(["voigt", "--y", "1", *flags])
     assert exc.value.code == 2
@@ -199,3 +220,22 @@ def test_oracle_spot_check(capsys):
 
 def test_oracle_frequency_guard(capsys):
     assert main(["oracle", "--nu", "150"]) == 2
+
+
+# --- parser ----------------------------------------------------------------
+
+def test_option_sets_are_pinned():
+    # a new or removed flag shows up here as a test change
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {name: {o for a in p._actions for o in a.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    params = {"--a", "--M", "--N", "--h", "--sigma"}
+    setup = params | {"--k", "--target", "--preset", "--direction"}
+    assert options == {
+        "coeffs": setup | {"--out"},
+        "scan": setup | {"--coeffs", "--lo", "--hi", "--n", "--out"},
+        "identity-check": {"--m-min", "--m-max", "--samples", "--seed"},
+        "voigt": params | {"--y", "--lo", "--hi", "--n", "--tol", "--out"},
+        "oracle": {"--target", "--shift", "--nu", "--lo", "--hi", "--tol", "--k"},
+    }

@@ -144,21 +144,6 @@ def test_shape_mismatch_rejected(sinc_coeffs):
             target=sinc_coeffs.target,
             alpha=sinc_coeffs.alpha[:5].copy(),
             beta=sinc_coeffs.beta.copy(),
-            gamma=sinc_coeffs.gamma.copy(),
-        )
-
-
-def test_off_grid_gamma_rejected(gder_coeffs):
-    # the damped-expansion oracle sums gamma_m = (2m - 1) gamma_1 by Horner's
-    # rule, so a set whose gamma is off that grid by one part in 1e12 is refused
-    with pytest.raises(ValueError, match="gamma_grid"):
-        CoefficientSet(
-            params=gder_coeffs.params,
-            direction=gder_coeffs.direction,
-            target=gder_coeffs.target,
-            alpha=gder_coeffs.alpha.copy(),
-            beta=gder_coeffs.beta.copy(),
-            gamma=gamma_grid(gder_coeffs.params) * (1 + 1e-12),
         )
 
 
@@ -203,7 +188,7 @@ def test_negative_zero_survives_the_file(tmp_path, gder_coeffs):
     beta[2] = complex(2.5, -0.0)
     signed = CoefficientSet(
         params=gder_coeffs.params, direction=gder_coeffs.direction,
-        target=gder_coeffs.target, alpha=alpha, beta=beta, gamma=gder_coeffs.gamma,
+        target=gder_coeffs.target, alpha=alpha, beta=beta,
     )
     first, second = tmp_path / "a.json", tmp_path / "b.json"
     save_coefficients(signed, first)
@@ -231,7 +216,7 @@ def _coefficient_sets(draw):
     return CoefficientSet(
         params=params, direction=draw(st.sampled_from(Direction)),
         target=draw(st.sampled_from(TargetKind)),
-        alpha=columns[0], beta=columns[1], gamma=gamma_grid(params),
+        alpha=columns[0], beta=columns[1],
     )
 
 
@@ -244,7 +229,6 @@ _M2 = ApproxParams(**dict(GDER_PARAMS, M=2))
     params=_M2, direction=Direction.FORWARD, target=TargetKind.GAUSSIAN,
     alpha=np.array([-0.0 + 5e-324j, 0.0 - 0.0j]),
     beta=np.array([-5e-324 - 1.7976931348623157e308j, 2.2250738585072009e-308 + 1.0j]),
-    gamma=gamma_grid(_M2),
 ))
 def test_save_load_save_is_byte_identical_for_any_finite_set(coeffs):
     with tempfile.TemporaryDirectory() as tmp:
@@ -316,6 +300,9 @@ def test_bad_parameter_rejected(tmp_path, sinc_coeffs):
 
 @pytest.mark.parametrize("field, value", [
     ("M", 6.5), ("N", 55.9), ("k", 35.5), ("a", "2.0"),
+    *(pytest.param(field, True, id=f"{field}-bool") for field in ("a", "M", "k")),
+    # json reads a 401-digit integer exactly; no double holds it
+    *(pytest.param(field, 10**400, id=f"{field}-1e400") for field in ("a", "h", "sigma", "N")),
 ])
 def test_mistyped_parameter_rejected(tmp_path, gder_coeffs, field, value):
     # the loader coerces nothing that ApproxParams would refuse
@@ -331,6 +318,21 @@ def test_inconsistent_gamma_rejected(tmp_path, sinc_coeffs):
     path = _dump_mutated(tmp_path, sinc_coeffs, mutate)
     # the sinc set under-covers its target, so loading it warns before rejecting
     with pytest.warns(GridCoverageWarning), pytest.raises(FileFormatError):
+        load_coefficients(path)
+
+
+@pytest.mark.parametrize("column, entry", [
+    pytest.param("alpha", [True, False], id="alpha-bool"),
+    pytest.param("beta", [10**400, 0], id="beta-1e400"),
+    pytest.param("gamma", 10**400, id="gamma-1e400"),
+])
+def test_mistyped_coefficient_rejected(tmp_path, gder_coeffs, column, entry):
+    # json's true is an int to Python, and no double holds 10**400
+    def mutate(d):
+        d[column][0] = entry
+
+    path = _dump_mutated(tmp_path, gder_coeffs, mutate)
+    with pytest.raises(FileFormatError, match=column):
         load_coefficients(path)
 
 

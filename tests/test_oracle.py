@@ -35,8 +35,6 @@ ORACLE_SPEC = QuadratureSpec(lo=-8.0, hi=8.0, tol=1e-10)
         dict(lo=1.0, hi=1.0, tol=1e-12),
         dict(lo=2.0, hi=-2.0, tol=1e-12),
         dict(lo=-8.0, hi=8.0, tol=1e-16),
-        dict(lo=-8.0, hi=8.0, tol=1e-12, max_panels=0),
-        dict(lo=-8.0, hi=8.0, tol=1e-12, max_panels=10**8),
     ],
 )
 def test_spec_validation(kwargs):

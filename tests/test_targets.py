@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ratfourier import (
@@ -48,24 +48,31 @@ def test_invariant_violations_name_the_invariant(field, value, fragment):
         ApproxParams(**kwargs)
 
 
-_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-_NON_INTEGRAL = st.one_of(st.floats(), st.sampled_from([np.float64(6.0), "6", None]))
+# a bool is an int to Python, and no double holds an integer past 2^1024
+_NOT_FINITE_REAL = st.sampled_from([math.nan, math.inf, -math.inf, True, False,
+                                    10**400, -(10**400)])
+_NON_INTEGRAL = st.one_of(st.floats(), st.sampled_from([np.float64(6.0), "6", None,
+                                                        True, False]))
 
 # every way a single field can be invalid, the others kept at GDER_PARAMS
 _INVALID = st.one_of(
-    st.tuples(st.just("a"), _NON_FINITE),
-    st.tuples(st.just("h"), st.one_of(_NON_FINITE, st.floats(max_value=0.0),
+    st.tuples(st.just("a"), _NOT_FINITE_REAL),
+    st.tuples(st.just("h"), st.one_of(_NOT_FINITE_REAL, st.floats(max_value=0.0),
                                       st.floats(2.0 ** 1017, 1.7e308))),
-    st.tuples(st.just("sigma"), st.one_of(_NON_FINITE,
+    st.tuples(st.just("sigma"), st.one_of(_NOT_FINITE_REAL,
                                           st.floats(max_value=-5e-324))),
     st.tuples(st.just("M"), st.one_of(_NON_INTEGRAL, st.integers(max_value=0),
                                       st.integers(min_value=25))),
-    st.tuples(st.just("N"), st.one_of(_NON_INTEGRAL, st.integers(max_value=-1))),
+    st.tuples(st.just("N"), st.one_of(_NON_INTEGRAL, st.integers(max_value=-1),
+                                      st.just(10**400))),
     st.tuples(st.just("k"), st.one_of(_NON_INTEGRAL, st.integers(max_value=0))),
 )
 
 
 @given(_INVALID)
+@example(("a", 10**400))
+@example(("N", 10**400))
+@example(("M", True))
 def test_every_invalid_field_is_named(case):
     field, value = case
     with pytest.raises(ValueError) as info:
@@ -88,8 +95,10 @@ def test_sigma_zero_is_allowed():
 def test_short_grid_warns():
     # sinc preset: N*h = 1.12 < 2a = 1.2, so the grid stops short of the
     # support of the shifted target
-    with pytest.warns(GridCoverageWarning):
+    with pytest.warns(GridCoverageWarning) as record:
         ApproxParams(**SINC_PARAMS)
+    # reported at the line that built the parameters
+    assert record[0].filename == __file__
 
 
 def test_covering_grid_does_not_warn():
