@@ -23,8 +23,8 @@ from .targets import (ApproxParams, GridCoverageWarning, ReferenceKind,
                       SampleSet, TargetKind, rect_surrogate, reference_value,
                       sample_grid, target_value)
 from .trig_identity import cosine_sum, sinc_series, viete_product
-from .voigt import (VoigtPoint, voigt_inverse_route, voigt_quadrature,
-                    voigt_residue, voigt_residue_complex)
+from .voigt import (VoigtPoint, voigt_quadrature, voigt_residue,
+                    voigt_residue_complex)
 
 __version__ = "0.1.0"
 
@@ -38,6 +38,6 @@ __all__ = [
     "error_scan", "eval_forward", "eval_inverse", "fourier_forward_quadrature",
     "gamma_grid", "integrate", "load_coefficients",
     "rect_surrogate", "reference_value", "sample_grid", "save_coefficients",
-    "sinc_series", "target_value", "viete_product", "voigt_inverse_route",
+    "sinc_series", "target_value", "viete_product",
     "voigt_quadrature", "voigt_residue", "voigt_residue_complex",
 ]

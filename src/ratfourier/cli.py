@@ -19,7 +19,8 @@ from .coefficients import (Direction, _fmt, _write_csv, compute_coefficients,
 from .errors import ConvergenceError
 from .oracle import QuadratureSpec, fourier_forward_quadrature
 from .rational_eval import error_scan
-from .targets import ApproxParams, ReferenceKind, TargetKind, sample_grid
+from .targets import (SURROGATE_K, ApproxParams, ReferenceKind, TargetKind,
+                      sample_grid)
 from .trig_identity import cosine_sum, viete_product
 from .voigt import VoigtPoint, voigt_quadrature, voigt_residue
 
@@ -30,7 +31,7 @@ EXIT_INVALID = 2
 
 # preset name -> (ApproxParams fields, target); presets are forward sets
 _PRESET_BINDINGS = {
-    "sinc": (dict(a=0.6, k=35, sigma=2.7, M=6, h=0.04, N=28),
+    "sinc": (dict(a=0.6, k=SURROGATE_K, sigma=2.7, M=6, h=0.04, N=28),
              TargetKind.RECT_SURROGATE),
     "gauss-derivative": (dict(a=2.0, sigma=5.0, M=6, h=0.078, N=55),
                          TargetKind.GAUSSIAN_DERIVATIVE),
@@ -174,6 +175,8 @@ def cmd_voigt(args) -> int:
         raise ValueError(f"y > 0 violated (got {args.y})")
     if args.n < 1:
         raise ValueError(f"n >= 1 violated (got {args.n})")
+    if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
+        raise ValueError(f"lo and hi must be finite (got {args.lo}, {args.hi})")
     if args.lo > args.hi:
         raise ValueError(f"lo <= hi violated (got {args.lo}, {args.hi})")
     if args.lo == args.hi and args.n != 1:
@@ -184,25 +187,23 @@ def cmd_voigt(args) -> int:
 
     xs = np.linspace(args.lo, args.hi, args.n)
     rows = []
-    worst = 0.0
     for x in xs:
         point = VoigtPoint(float(x), args.y)
         approx = voigt_residue(coeffs, point)
         ref = voigt_quadrature(point, args.tol)
-        diff = abs(approx - ref)
-        worst = max(worst, diff)
-        rows.append((float(x), approx, ref, diff))
+        rows.append((float(x), approx, ref, abs(approx - ref)))
     if args.out is not None:
         _write_csv(args.out, "x,voigt_approx,voigt_ref,abs_diff", rows)
+    # np.max, unlike max(), lets a NaN difference through
+    worst = float(np.max([row[3] for row in rows]))
     print(f"max_abs_diff={_fmt(worst)}")
-    return EXIT_OK
+    return EXIT_OK if math.isfinite(worst) else EXIT_BREACH
 
 
 def cmd_oracle(args) -> int:
     target = TargetKind(args.target)
     spec = QuadratureSpec(lo=args.lo, hi=args.hi, tol=args.tol)
-    value = fourier_forward_quadrature(target, args.shift, args.nu, spec,
-                                       k=args.k if args.k is not None else 35)
+    value = fourier_forward_quadrature(target, args.shift, args.nu, spec, k=args.k)
     print(f"value_re={_fmt(value.real)}")
     print(f"value_im={_fmt(value.imag)}")
     return EXIT_OK
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--lo", type=float, default=-8.0)
     p_oracle.add_argument("--hi", type=float, default=8.0)
     p_oracle.add_argument("--tol", type=float, default=1e-12)
-    p_oracle.add_argument("--k", type=int)
+    p_oracle.add_argument("--k", type=int, default=SURROGATE_K)
 
     return parser
 

@@ -26,7 +26,7 @@ import numpy as np
 from .coefficients import CoefficientSet, Direction
 from .errors import DampingError, RangeError, check_direction
 from .quadrature import integrate
-from .targets import TargetKind, target_value
+from .targets import SURROGATE_K, TargetKind, target_value
 
 _NU_LIMIT = 100.0
 _ENVELOPE_CUTOFF = 1e-18
@@ -34,30 +34,34 @@ _ENVELOPE_CUTOFF = 1e-18
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Domain and tolerance for one oracle integration."""
+    """Finite domain and tolerance for one oracle integration."""
 
     lo: float
     hi: float
     tol: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise ValueError(f"lo and hi must be finite (got {self.lo}, {self.hi})")
         if not self.lo < self.hi:
             raise ValueError(f"lo < hi violated (got {self.lo}, {self.hi})")
-        if not self.tol >= 1e-15:
-            raise ValueError(f"tol >= 1e-15 violated (got {self.tol})")
+        if not 1e-15 <= self.tol < math.inf:
+            raise ValueError(f"finite tol >= 1e-15 violated (got {self.tol})")
 
 
 def _check_nu(nu):
-    if abs(nu) > _NU_LIMIT:
+    if not abs(nu) <= _NU_LIMIT:
         raise RangeError(
             f"|nu| <= {_NU_LIMIT:g} violated (got {nu}); oscillation too fast for the oracle"
         )
 
 
 def fourier_forward_quadrature(target: TargetKind, shift: float, nu: float,
-                               spec: QuadratureSpec, k: int = 35) -> complex:
+                               spec: QuadratureSpec, k: int = SURROGATE_K) -> complex:
     """Direct transform of the shifted target over [spec.lo, spec.hi]."""
     _check_nu(nu)
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite (got {shift})")
 
     def integrand(t):
         return target_value(target, t - shift, k) * np.exp(-math.tau * 1j * nu * t)

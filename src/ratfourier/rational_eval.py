@@ -105,6 +105,8 @@ class EvaluationCurve:
 def error_scan(coeffs: CoefficientSet, reference: ReferenceKind,
                lo: float, hi: float, count: int) -> EvaluationCurve:
     """Scan the approximant against a reference on an inclusive uniform grid."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"lo and hi must be finite (got {lo}, {hi})")
     if not lo < hi:
         raise ValueError(f"lo < hi violated (got {lo}, {hi})")
     if count < 2:

@@ -28,6 +28,8 @@ _LOG_MAX = math.log(sys.float_info.max)  # ~709.78, binary64 overflow threshold
 MAX_ORDER = 24  # 2^(M-1) summation terms; larger orders are not desk-scale
 
 SQRT_PI = math.sqrt(math.pi)
+# default half-exponent k of the rectangle surrogate 1/((2t)^(2k) + 1)
+SURROGATE_K = 35
 
 
 class GridCoverageWarning(UserWarning):
@@ -72,7 +74,7 @@ class ApproxParams:
     N: int
     h: float
     sigma: float
-    k: int = 35
+    k: int = SURROGATE_K
 
     def __post_init__(self):
         for name in ("a", "M", "N", "h", "sigma", "k"):
@@ -126,7 +128,7 @@ class ApproxParams:
         return 1 << (self.M - 1)
 
 
-def rect_surrogate(t, k: int = 35):
+def rect_surrogate(t, k: int = SURROGATE_K):
     """Smooth stand-in 1/((2t)^(2k) + 1) for the rectangular function.
 
     Total on the real line: for |2t| > 1 the power is taken in the log
@@ -148,7 +150,7 @@ def rect_surrogate(t, k: int = 35):
     return float(out[0]) if scalar else out
 
 
-def target_value(kind: TargetKind, t, k: int = 35):
+def target_value(kind: TargetKind, t, k: int = SURROGATE_K):
     """Evaluate the target function `kind` at t (scalar or array, complex result)."""
     scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))

@@ -1,4 +1,4 @@
-"""Voigt function evaluation: pole-residue formula plus integral references.
+"""Voigt function evaluation: pole-residue formula plus an integral reference.
 
 The Voigt function
     K(x, y) = (y/pi) integral e^(-tau^2) / (y^2 + (x - tau)^2) dtau
@@ -8,8 +8,7 @@ coefficients) and closing the contour gives a finite sum over the
 approximant's poles: three bracket terms per expansion index m.  The sum
 is evaluated verbatim here; its correctness is certified against
 voigt_quadrature, an independent adaptive integration of the defining
-integral, and against voigt_inverse_route, which reaches K(x, y) through
-the inverse-transform approximant instead.
+integral.
 """
 
 import functools
@@ -21,28 +20,25 @@ import numpy as np
 from .coefficients import CoefficientSet, Direction
 from .errors import check_denominator, check_direction
 from .quadrature import integrate
-from .rational_eval import eval_inverse
 from .targets import TargetKind
-
-# voigt_inverse_route's integration range and tolerance
-_ROUTE_HALFWIDTH = 400.0
-_ROUTE_TOL = 1e-11
 
 
 @dataclass(frozen=True)
 class VoigtPoint:
-    """Dimensionless detuning x and damping y > 0."""
+    """Finite dimensionless detuning x and damping y > 0."""
 
     x: float
     y: float
 
     def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError(f"y > 0 violated (got {self.y})")
+        if not math.isfinite(self.x):
+            raise ValueError(f"x must be finite (got {self.x})")
+        if not 0 < self.y < math.inf:
+            raise ValueError(f"finite y > 0 violated (got {self.y})")
 
 
-def _require_gaussian(coeffs, direction):
-    check_direction(coeffs, direction, "Voigt evaluation")
+def _require_gaussian(coeffs):
+    check_direction(coeffs, Direction.FORWARD, "Voigt evaluation")
     if coeffs.target is not TargetKind.GAUSSIAN:
         raise ValueError(
             f"Voigt evaluation needs Gaussian-target coefficients, "
@@ -74,7 +70,7 @@ def _point_free_factors(coeffs):
 
 def _residue_terms(coeffs, p):
     """The 3 * 2^(M-1) residue terms; 2 pi i y times their sum is the contour value."""
-    _require_gaussian(coeffs, Direction.FORWARD)
+    _require_gaussian(coeffs)
     x, y = p.x, p.y
     sigma = coeffs.params.sigma
     a = coeffs.params.a
@@ -113,11 +109,14 @@ def voigt_residue(coeffs: CoefficientSet, p: VoigtPoint) -> float:
     bounded by the approximant's: |K_approx - K| <= sup_nu |Re F(nu) -
     e^(-nu^2)|, for every x and every y > 0.  At the Voigt preset
     (gauss-derivative parameters, Gaussian target, M=6) that sup is 1.56e-11,
-    from error_scan on 480,001 points over |nu| <= 120; against the Faddeeva
-    function, K = Re scipy.special.wofz(x + iy), the worst absolute error on
-    251 x in [-2 pi, 2 pi] is 4.4e-16, 8.1e-13, 1.07e-11 and 1.47e-11 at
-    y = 1, 0.1, 0.01 and 1e-4.  Small y removes the smoothing, so the error
-    approaches the bound; it does not break the sum.
+    from error_scan on 480,001 points over |nu| <= 120.  It is essentially
+    the replica envelope: the expansion's first replica is a negated copy
+    at 2^M h, damped by e^(-sigma 2^M h) = e^(-5 * 4.992) = 1.445e-11.
+    Against the Faddeeva function, K = Re scipy.special.wofz(x + iy), the
+    worst absolute error on 251 x in [-2 pi, 2 pi] is 4.4e-16, 8.1e-13,
+    1.07e-11 and 1.47e-11 at y = 1, 0.1, 0.01 and 1e-4.  Small y removes
+    the smoothing, so the error approaches the bound; it does not break the
+    sum.
 
     The relative errors follow from the bound and the size of K: 1.6e-14,
     2.3e-11, 9.4e-10 and 9.0e-8 on the same grid, and on 2001 x in [0, 100]
@@ -140,13 +139,12 @@ def voigt_residue(coeffs: CoefficientSet, p: VoigtPoint) -> float:
 @functools.lru_cache(maxsize=128)
 def _gaussian_cutoff(y: float, bound: float) -> float:
     # smallest integer L whose truncated mass min(erfc(L)/(y sqrt(pi)),
-    # e^(-L^2)) drops below bound; erfc underflows to 0 by L = 28, so the
-    # loop always terminates
-    for L in range(1, 41):
-        tail = min(math.erfc(L) / (y * math.sqrt(math.pi)), math.exp(-float(L * L)))
-        if tail <= bound:
-            return float(L)
-    return 40.0
+    # e^(-L^2)) drops below bound; whatever y is, the e^(-L^2) term meets
+    # the smallest bound voigt_quadrature passes, 1e-16, by L = 7
+    L = 1
+    while min(math.erfc(L) / (y * math.sqrt(math.pi)), math.exp(-float(L * L))) > bound:
+        L += 1
+    return float(L)
 
 
 def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
@@ -160,8 +158,8 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
     reference and wofz is the quadrature's.  At y = 1, 0.1 and 0.01 the
     worst errors are 5.6e-17, 1.1e-16 and 3.9e-16.
     """
-    if not tol >= 1e-15:
-        raise ValueError(f"tol >= 1e-15 violated (got {tol})")
+    if not 1e-15 <= tol < math.inf:
+        raise ValueError(f"finite tol >= 1e-15 violated (got {tol})")
     x, y = p.x, p.y
     # truncation: outside [-L, L] the integrand is bounded by both
     # e^(-tau^2)/y^2 (Gaussian tail) and e^(-L^2) times the Lorentzian mass
@@ -178,32 +176,4 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
             width *= 3.0
         breakpoints.append(x)
     value = integrate(integrand, -L, L, tol, breakpoints=breakpoints, max_width=1.0).value
-    return value.real
-
-
-def voigt_inverse_route(coeffs: CoefficientSet, p: VoigtPoint) -> float:
-    """K(x, y) through the inverse-transform approximant.
-
-    Pairs the inverse approximant of e^(-t^2) with the Lorentzian kernel
-    h(t) = y / (pi (y^2 + (x - t)^2)) and integrates over [-400, 400] to
-    tolerance 1e-11.  No closed-form residue algebra exists for this route;
-    the truncation is set by the approximant's O(1/t^2) far tail (its
-    damping envelope in the transform variable does not decay along the
-    real t axis), so the half-width trades runtime against the tail bias.
-    """
-    _require_gaussian(coeffs, Direction.INVERSE)
-    x, y = p.x, p.y
-
-    def integrand(t):
-        lorentz = y / (math.pi * (y * y + (x - t) ** 2))
-        return eval_inverse(coeffs, t) * lorentz
-
-    breakpoints = []
-    if -_ROUTE_HALFWIDTH < x < _ROUTE_HALFWIDTH:
-        breakpoints = [x - y, x, x + y]
-    max_width = 1.0 / (8.0 * max(coeffs.params.a, 1.0))
-    value = integrate(
-        integrand, -_ROUTE_HALFWIDTH, _ROUTE_HALFWIDTH, _ROUTE_TOL,
-        breakpoints=breakpoints, max_width=max_width,
-    ).value
     return value.real

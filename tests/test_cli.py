@@ -95,6 +95,12 @@ def test_scan_writes_curve_file(tmp_path, capsys):
     assert len(lines) == 12
 
 
+@pytest.mark.parametrize("flags", [["--lo=-inf", "--hi", "0"], ["--lo", "0", "--hi", "nan"]])
+def test_scan_validation(flags, capsys):
+    assert main(["scan", "--preset", "gauss-derivative", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_scan_incompatible_reference(capsys):
     # the reference follows from (target, direction); there is no --ref
     with pytest.raises(SystemExit) as exc:
@@ -193,10 +199,24 @@ def test_voigt_explicit_parameters(capsys):
         ["--y", "1", "--n", "0"],
         ["--y", "1", "--lo", "2", "--hi", "-2"],
         ["--y", "1", "--lo", "0", "--hi", "0", "--n", "2"],
+        ["--y", "inf"],
+        ["--y", "1", "--lo", "nan", "--hi", "nan"],
+        ["--y", "1", "--hi", "inf"],
+        ["--y", "1", "--lo", "0", "--hi", "0", "--n", "1", "--tol", "inf"],
     ],
 )
 def test_voigt_validation(flags, capsys):
     assert main(["voigt", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [["--y", "1", "--lo", "1e300", "--hi", "1e300"],
+                                   ["--y", "1e300", "--lo", "0", "--hi", "0"]])
+def test_voigt_nan_difference_is_a_breach(flags, capsys):
+    # both sides of the difference overflow to NaN; max() would drop it
+    with pytest.warns(RuntimeWarning):
+        assert main(["voigt", *flags, "--n", "1"]) == 1
+    assert _lines(capsys)[-1] == "max_abs_diff=nan"
 
 
 @pytest.mark.parametrize("flags", [["--preset", "sinc"], ["--direction", "inverse"],
@@ -220,6 +240,13 @@ def test_oracle_spot_check(capsys):
 
 def test_oracle_frequency_guard(capsys):
     assert main(["oracle", "--nu", "150"]) == 2
+
+
+@pytest.mark.parametrize("flags", [["--lo=-inf", "--hi", "0"], ["--nu", "nan"],
+                                   ["--shift", "nan"], ["--tol", "inf"]])
+def test_oracle_validation(flags, capsys):
+    assert main(["oracle", *flags]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 # --- parser ----------------------------------------------------------------

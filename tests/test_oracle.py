@@ -35,6 +35,10 @@ ORACLE_SPEC = QuadratureSpec(lo=-8.0, hi=8.0, tol=1e-10)
         dict(lo=1.0, hi=1.0, tol=1e-12),
         dict(lo=2.0, hi=-2.0, tol=1e-12),
         dict(lo=-8.0, hi=8.0, tol=1e-16),
+        dict(lo=-math.inf, hi=0.0, tol=1e-12),
+        dict(lo=0.0, hi=math.inf, tol=1e-12),
+        dict(lo=math.nan, hi=8.0, tol=1e-12),
+        dict(lo=-8.0, hi=8.0, tol=math.inf),
     ],
 )
 def test_spec_validation(kwargs):
@@ -77,8 +81,9 @@ def test_surrogate_transform_sits_near_the_rect_transform():
 
 
 def test_frequency_guard():
-    with pytest.raises(RangeError):
-        fourier_forward_quadrature(TargetKind.GAUSSIAN, 0.0, 150.0, SPEC)
+    for nu in (150.0, math.nan):
+        with pytest.raises(RangeError):
+            fourier_forward_quadrature(TargetKind.GAUSSIAN, 0.0, nu, SPEC)
 
 
 # --- damped expansion oracle ------------------------------------------------
