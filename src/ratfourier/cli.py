@@ -11,10 +11,11 @@ machine-parseable key=value summary line.  Exit codes: 0 success,
 import argparse
 import math
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .coefficients import (Direction, _fmt, _write_csv, compute_coefficients,
+from .coefficients import (Direction, _fmt, _param_text, _write_csv, compute_coefficients,
                            load_coefficients, save_coefficients)
 from .errors import ConvergenceError
 from .oracle import QuadratureSpec, fourier_forward_quadrature
@@ -38,7 +39,7 @@ _PRESET_BINDINGS = {
 }
 
 # the Voigt evaluator is validated with the gauss-derivative parameters (Gaussian target)
-_VOIGT_BINDING = _PRESET_BINDINGS["gauss-derivative"][0]
+_VOIGT_BINDING = (_PRESET_BINDINGS["gauss-derivative"][0], TargetKind.GAUSSIAN)
 
 
 # the reference a scan compares against, per (target, direction): the
@@ -53,67 +54,60 @@ _REFERENCES = {
     (TargetKind.GAUSSIAN, Direction.INVERSE): ReferenceKind.GAUSS,
 }
 
-_PARAM_NAMES = ("a", "M", "N", "h", "sigma", "k")
-_REQUIRED_PARAMS = ("a", "M", "N", "h", "sigma")
+# the flags that make a setup explicit
+_SETUP_FLAGS = (*(f.name for f in fields(ApproxParams)), "target", "direction")
+# an explicit setup requires these; voigt has them alone as its parameter flags
+_REQUIRED_FIELDS = [f for f in fields(ApproxParams) if f.default is MISSING]
 
 
-def _add_param_flags(sub):
-    sub.add_argument("--a", type=float)
-    sub.add_argument("--M", type=int)
-    sub.add_argument("--N", type=int)
-    sub.add_argument("--h", type=float)
-    sub.add_argument("--sigma", type=float)
+def _add_param_flags(sub, param_fields):
+    for f in param_fields:
+        sub.add_argument(f"--{f.name}", type=f.type)
 
 
 def _add_setup_flags(sub):
     # coeffs and scan; voigt takes the parameter flags alone
-    _add_param_flags(sub)
-    sub.add_argument("--k", type=int)
+    _add_param_flags(sub, fields(ApproxParams))
     sub.add_argument("--target", choices=[t.value for t in TargetKind])
     sub.add_argument("--preset", choices=sorted(_PRESET_BINDINGS))
     sub.add_argument("--direction", choices=[d.value for d in Direction])
 
 
-def _explicit_params(args):
-    """ApproxParams from the explicit parameter flags; None when none is given."""
-    # voigt has no --k: its Gaussian target does not use k
-    given = {n: getattr(args, n, None) for n in _PARAM_NAMES}
-    explicit = {n: v for n, v in given.items() if v is not None}
-    if not explicit:
-        return None
-    missing = [n for n in _REQUIRED_PARAMS if n not in explicit]
+def _given_setup(args):
+    """{name: value} of the setup flags given."""
+    return {n: getattr(args, n) for n in _SETUP_FLAGS if getattr(args, n, None) is not None}
+
+
+def _resolve_setup(args, fallback=None):
+    """Turn the setup flags into (params, target, direction).
+
+    With no setup flag given, the setup is the forward one of the `fallback`
+    (fields, target) binding, or else of --preset (sinc, with a warning,
+    when there is none).  With any given, the setup is explicit: --preset is
+    refused first, then every ApproxParams field without a default and
+    --target are required.  voigt has no --target and takes the fallback's.
+    """
+    given = _given_setup(args)
+    preset = getattr(args, "preset", None)
+    binding, target = fallback or _PRESET_BINDINGS[preset or "sinc"]
+    if not given:
+        if fallback is None and preset is None:
+            print("warning: missing input parameters; defaulting to the sinc preset")
+        return ApproxParams(**binding), target, Direction.FORWARD
+    if preset is not None:
+        raise ValueError("--preset and explicit parameter flags are mutually exclusive")
+    required = [f.name for f in _REQUIRED_FIELDS] + ["target"]
+    missing = [n for n in required if n not in given and hasattr(args, n)]
     if missing:
         raise ValueError(f"explicit parameters require {', '.join('--' + n for n in missing)}")
-    return ApproxParams(**explicit)
-
-
-def _has_explicit_setup(args):
-    """Whether a parameter flag, --target or --direction is given."""
-    return any(getattr(args, n) is not None for n in ("target", "direction", *_PARAM_NAMES))
-
-
-def _resolve_setup(args):
-    """Turn preset/explicit flags into (params, target, direction)."""
-    if args.preset is not None and _has_explicit_setup(args):
-        raise ValueError("--preset and explicit parameter flags are mutually exclusive")
-    params = _explicit_params(args)
-    if params is None and args.target is None:
-        if args.preset is None:
-            print("warning: missing input parameters; defaulting to the sinc preset")
-        binding, target = _PRESET_BINDINGS[args.preset or "sinc"]
-        return ApproxParams(**binding), target, Direction.FORWARD
-    if args.target is None:
-        raise ValueError("explicit parameters require --target")
-    if params is None:
-        raise ValueError("explicit parameters require --a, --M, --N, --h, --sigma")
-    direction = Direction(args.direction) if args.direction else Direction.FORWARD
-    return params, TargetKind(args.target), direction
+    target = TargetKind(given.pop("target", target))
+    direction = Direction(given.pop("direction", Direction.FORWARD))
+    return ApproxParams(**given), target, direction
 
 
 def _echo_params(params, target, direction):
     print(" ".join((
-        f"a={_fmt(params.a)}", f"M={params.M}", f"N={params.N}", f"h={_fmt(params.h)}",
-        f"sigma={_fmt(params.sigma)}", f"k={params.k}",
+        *(f"{name}={text}" for name, text in _param_text(params)),
         f"direction={direction.value}", f"target={target.value}",
     )))
 
@@ -131,7 +125,7 @@ def cmd_coeffs(args) -> int:
 
 def cmd_scan(args) -> int:
     if args.coeffs is not None:
-        if args.preset is not None or _has_explicit_setup(args):
+        if args.preset is not None or _given_setup(args):
             raise ValueError("--coeffs excludes --preset and explicit parameter flags")
         coeffs = load_coefficients(args.coeffs)
     else:
@@ -171,8 +165,6 @@ def cmd_identity_check(args) -> int:
 
 
 def cmd_voigt(args) -> int:
-    if not args.y > 0:
-        raise ValueError(f"y > 0 violated (got {args.y})")
     if args.n < 1:
         raise ValueError(f"n >= 1 violated (got {args.n})")
     if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
@@ -181,9 +173,8 @@ def cmd_voigt(args) -> int:
         raise ValueError(f"lo <= hi violated (got {args.lo}, {args.hi})")
     if args.lo == args.hi and args.n != 1:
         raise ValueError("lo == hi needs n=1")
-    params = _explicit_params(args) or ApproxParams(**_VOIGT_BINDING)
-    coeffs = compute_coefficients(sample_grid(TargetKind.GAUSSIAN, params),
-                                  Direction.FORWARD)
+    params, target, direction = _resolve_setup(args, _VOIGT_BINDING)
+    coeffs = compute_coefficients(sample_grid(target, params), direction)
 
     xs = np.linspace(args.lo, args.hi, args.n)
     rows = []
@@ -237,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     # voigt always builds forward Gaussian coefficients: no preset, no
     # direction, no target and no k
     p_voigt = sub.add_parser("voigt", help="Voigt residue evaluation vs. integral reference")
-    _add_param_flags(p_voigt)
+    _add_param_flags(p_voigt, _REQUIRED_FIELDS)
     p_voigt.add_argument("--y", type=float, required=True)
     p_voigt.add_argument("--lo", type=float, default=-math.tau)
     p_voigt.add_argument("--hi", type=float, default=math.tau)

@@ -13,7 +13,7 @@ Direction tags whether the samples came from the original function
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -24,10 +24,8 @@ from .targets import ApproxParams, SampleSet, TargetKind
 
 MAX_SAMPLES = 10_000
 
-_FIELDS = (
-    "a", "M", "N", "h", "sigma", "k",
-    "direction", "target", "alpha", "beta", "gamma",
-)
+_FIELDS = (*(f.name for f in fields(ApproxParams)),
+           "direction", "target", "alpha", "beta", "gamma")
 
 
 class Direction(Enum):
@@ -113,6 +111,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _param_text(params: ApproxParams):
+    """(name, text) per ApproxParams field: floats by _fmt, integers as they are."""
+    return [(f.name, (_fmt if f.type is float else str)(getattr(params, f.name)))
+            for f in fields(params)]
+
+
 def _write_csv(path, header: str, rows) -> None:
     # curve files: comma-separated text, 17 significant digits per field
     lines = [header] + [",".join(_fmt(v) for v in row) for row in rows]
@@ -125,16 +129,10 @@ def save_coefficients(coeffs: CoefficientSet, path) -> None:
     Floats carry 17 significant digits, enough to round-trip any double, so
     saving and reloading reproduces the set bit for bit.
     """
-    p = coeffs.params
     pair = lambda z: f"[{_fmt(z.real)}, {_fmt(z.imag)}]"
     lines = [
         "{",
-        f'  "a": {_fmt(p.a)},',
-        f'  "M": {p.M},',
-        f'  "N": {p.N},',
-        f'  "h": {_fmt(p.h)},',
-        f'  "sigma": {_fmt(p.sigma)},',
-        f'  "k": {p.k},',
+        *(f'  "{name}": {text},' for name, text in _param_text(coeffs.params)),
         f'  "direction": "{coeffs.direction.value}",',
         f'  "target": "{coeffs.target.value}",',
         f'  "alpha": [{", ".join(pair(z) for z in coeffs.alpha)}],',
@@ -188,9 +186,7 @@ def load_coefficients(path) -> CoefficientSet:
     try:
         # no coercion: ApproxParams refuses "M": 6.5, "a": "2.0" or "a": true,
         # and stores the "a": 2 that _fmt writes for 2.0 as a float
-        params = ApproxParams(
-            a=raw["a"], M=raw["M"], N=raw["N"], h=raw["h"], sigma=raw["sigma"], k=raw["k"],
-        )
+        params = ApproxParams(**{f.name: raw[f.name] for f in fields(ApproxParams)})
     except ValueError as exc:
         raise FileFormatError(f"invalid parameters in coefficient file: {exc}") from None
     try:

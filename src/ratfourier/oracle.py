@@ -25,7 +25,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, Direction
 from .errors import DampingError, RangeError, check_direction
-from .quadrature import integrate
+from .quadrature import _check_tol, integrate
 from .targets import SURROGATE_K, TargetKind, target_value
 
 _NU_LIMIT = 100.0
@@ -45,8 +45,7 @@ class QuadratureSpec:
             raise ValueError(f"lo and hi must be finite (got {self.lo}, {self.hi})")
         if not self.lo < self.hi:
             raise ValueError(f"lo < hi violated (got {self.lo}, {self.hi})")
-        if not 1e-15 <= self.tol < math.inf:
-            raise ValueError(f"finite tol >= 1e-15 violated (got {self.tol})")
+        _check_tol(self.tol)
 
 
 def _check_nu(nu):

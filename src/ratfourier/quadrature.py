@@ -56,6 +56,13 @@ _GAUSS_SLOTS = slice(1, 15, 2)  # the 7 Gauss nodes sit at the odd Kronrod slots
 # a panel narrower than this times its largest edge magnitude (at least 1)
 # cannot be bisected meaningfully
 _ROUNDING_FLOOR = 64.0 * float(np.finfo(float).eps)
+# the smallest tolerance the oracles accept
+_TOL_FLOOR = 1e-15
+
+
+def _check_tol(tol):
+    if not _TOL_FLOOR <= tol < math.inf:
+        raise ValueError(f"finite tol >= {_TOL_FLOOR:g} violated (got {tol})")
 
 
 def _eval_panels(f, edges):

@@ -13,13 +13,11 @@ Gaussian-derivative bump whose transform is nu*exp(-nu^2), and the plain
 Gaussian bump paired with exp(-nu^2).
 """
 
-from __future__ import annotations
-
 import math
 import numbers
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -65,8 +63,8 @@ class ApproxParams:
 
     M, N and k must be integers (numpy integers included) and a, h and
     sigma real numbers, not bools, and each must be finite and within the
-    double range; a violation raises ValueError naming the field.  a, h
-    and sigma are stored as float.
+    double range; a violation raises ValueError naming the field.  Each
+    is stored as its field's type, int or float.
     """
 
     a: float
@@ -77,19 +75,18 @@ class ApproxParams:
     k: int = SURROGATE_K
 
     def __post_init__(self):
-        for name in ("a", "M", "N", "h", "sigma", "k"):
-            value = getattr(self, name)
-            if name in ("M", "N", "k"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int:
                 kind, noun = numbers.Integral, "an integer"
             else:
                 kind, noun = numbers.Real, "a real number"
             if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {noun} (got {value!r})")
+                raise ValueError(f"{f.name} must be {noun} (got {value!r})")
             # not repr(value): an integer past the double range may have too many digits
             if not abs(value) <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite and within the double range")
-        for name in ("a", "h", "sigma"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+                raise ValueError(f"{f.name} must be finite and within the double range")
+            object.__setattr__(self, f.name, f.type(value))
         if self.M < 1:
             raise ValueError(f"M >= 1 violated (got {self.M})")
         if self.M > MAX_ORDER:

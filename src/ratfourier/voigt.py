@@ -19,7 +19,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, Direction
 from .errors import check_denominator, check_direction
-from .quadrature import integrate
+from .quadrature import _check_tol, integrate
 from .targets import TargetKind
 
 
@@ -158,8 +158,7 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
     reference and wofz is the quadrature's.  At y = 1, 0.1 and 0.01 the
     worst errors are 5.6e-17, 1.1e-16 and 3.9e-16.
     """
-    if not 1e-15 <= tol < math.inf:
-        raise ValueError(f"finite tol >= 1e-15 violated (got {tol})")
+    _check_tol(tol)
     x, y = p.x, p.y
     # truncation: outside [-L, L] the integrand is bounded by both
     # e^(-tau^2)/y^2 (Gaussian tail) and e^(-L^2) times the Lorentzian mass

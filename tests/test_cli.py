@@ -141,6 +141,33 @@ def test_missing_parameters_fall_back_to_preset(capsys):
     assert _value_of(lines[-1]) < 3.2e-3
 
 
+@pytest.mark.parametrize("argv", [
+    # a lone --direction once fell back to the forward sinc preset
+    ["coeffs", "--direction", "inverse", "--out", "c.json"],
+    ["scan", "--direction", "inverse"],
+    ["scan", "--a", "1"],
+    ["scan", "--target", "gauss"],
+    ["voigt", "--y", "1", "--a", "2"],
+])
+def test_incomplete_explicit_setup_is_refused(argv, tmp_path, monkeypatch, capsys):
+    # any setup flag makes the setup explicit, and then it must be complete
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert not (tmp_path / "c.json").exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: explicit parameters require ")
+
+
+def test_scan_at_an_exact_pole_is_a_breach(capsys):
+    # gamma_1 = pi / (2^M h) = 2 pi, so gamma_1^2 + s^2 vanishes at nu = +-1
+    rc = main(["scan", "--a", "0", "--M", "2", "--N", "8", "--h", "0.125",
+               "--sigma", "0", "--target", "gauss", "--lo", "-1", "--hi", "1",
+               "--n", "3"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: denominator gamma_m^2 + s^2")
+
+
 def test_unknown_preset_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["scan", "--preset", "nope"])
@@ -159,7 +186,8 @@ def test_identity_check_passes(capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--m-min", "0"], ["--m-max", "13"], ["--m-min", "5", "--m-max", "3"]],
+    [["--m-min", "0"], ["--m-max", "13"], ["--m-min", "5", "--m-max", "3"],
+     ["--samples", "0"]],
 )
 def test_identity_check_rejects_bad_order_range(flags, capsys):
     assert main(["identity-check", *flags]) == 2

@@ -336,6 +336,20 @@ def test_mistyped_coefficient_rejected(tmp_path, gder_coeffs, column, entry):
         load_coefficients(path)
 
 
+@pytest.mark.parametrize("mutate, match", [
+    pytest.param(None, "cannot read coefficient file", id="no-file"),
+    pytest.param(lambda d: d.update(direction="sideways"), "sideways", id="direction"),
+    pytest.param(lambda d: d.update(target="boxcar"), "boxcar", id="target"),
+    pytest.param(lambda d: d.update(alpha="[]"), "alpha must be a list", id="alpha-string"),
+])
+def test_unreadable_or_unknown_contents_rejected(tmp_path, gder_coeffs, mutate, match):
+    # mutate=None reads a path that does not exist
+    path = (tmp_path / "absent.json" if mutate is None
+            else _dump_mutated(tmp_path, gder_coeffs, mutate))
+    with pytest.raises(FileFormatError, match=match):
+        load_coefficients(path)
+
+
 def test_malformed_json_rejected(tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
