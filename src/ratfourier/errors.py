@@ -4,6 +4,16 @@ import numpy as np
 
 DENOM_FLOOR = 1e-300
 
+# A lower bound (Re s)^2 on the computed |gamma^2 + s*s| must reach this
+# before a caller skips check_denominator.  With r = Re s and q = Im s as
+# computed, the computed s*s has imaginary part 2 r q and real part
+# r^2 - q^2, each rounded only relative to its own size: if |q| >= |r|/2 the
+# imaginary part is at least fl(r^2), and if |q| < |r|/2 the real part of
+# gamma^2 + s*s is at least (3/4) fl(r^2), as gamma^2 >= 0 only adds to it.
+# So every computed |denominator| exceeds 0.74 fl(r^2); a factor 4 leaves
+# room to spare.
+BOUND_CLEARS = 4.0 * DENOM_FLOOR
+
 
 class RangeError(ValueError):
     """An index or argument fell outside its documented range."""

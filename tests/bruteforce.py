@@ -3,12 +3,18 @@
 Everything here is written the slow, obvious way -- per-term loops over
 plain Python scalars -- precisely so it shares no code path, no
 vectorization, and no accumulation strategy with the library under test.
+The pole-denominator recomputations at the end are the one exception; the
+comment above them says why.
 """
 
 import cmath
 import math
 
 import mpmath
+import numpy as np
+
+from ratfourier import Direction
+from ratfourier.errors import DENOM_FLOOR
 
 
 def brute_coefficients(samples):
@@ -136,3 +142,42 @@ def brute_forward(samples, nu):
             parts_im.append(term.imag)
     total = complex(math.fsum(parts_re), math.fsum(parts_im))
     return cmath.exp(2j * math.pi * nu * params.a) * total
+
+
+# --- every pole denominator, each tested against the floor -----------------
+#
+# The guards of the evaluator and of the Voigt residue skip their full test
+# where an analytic lower bound clears DENOM_FLOOR.  The functions below form
+# every denominator and test each one, with no bound.  Unlike the rest of
+# this module they use numpy and the package's own expressions: whether a
+# denominator near a pole falls below the floor depends on how it rounds,
+# and numpy may round a complex product differently from Python's complex
+# type (it may fuse a multiply and an add), so only the same expressions in
+# numpy reproduce the values the package tests.
+
+def evaluator_pole_hit(coeffs, x):
+    """True if some gamma_m^2 + s^2 at some x is below DENOM_FLOOR in magnitude.
+
+    s = sigma + 2 pi i x forward and sigma - 2 pi i x inverse, for every
+    point of the 1-D array x and every term, all in one (points x terms)
+    array.
+    """
+    w = math.tau * 1j * np.asarray(x, dtype=complex)
+    if coeffs.direction is Direction.INVERSE:
+        w = -w
+    s = (coeffs.params.sigma + w)[:, None]
+    denom = coeffs.gamma[None, :] ** 2 + s * s
+    return bool((np.abs(denom) < DENOM_FLOOR).any())
+
+
+def residue_pole_hit(coeffs, x, y):
+    """True if one of the Voigt residue's 3 * 2^(M-1) denominators at (x, y)
+    is below DENOM_FLOOR in magnitude."""
+    sigma, g = coeffs.params.sigma, coeffs.gamma
+    gm, gp = g - 1j * sigma, g + 1j * sigma
+    four_pi2_r2 = 4.0 * math.pi**2 * (x * x + y * y)
+    den1 = g * (four_pi2_r2 + 4.0 * math.pi * x * gm + gm * gm)
+    den2 = g * (four_pi2_r2 - 4.0 * math.pi * x * gp + gp * gp)
+    w = math.tau * (x + 1j * y) - 1j * sigma
+    den3 = math.tau * y * (g * g - w * w)
+    return any(bool((np.abs(den) < DENOM_FLOOR).any()) for den in (den1, den2, den3))

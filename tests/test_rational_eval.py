@@ -60,6 +60,19 @@ def test_pole_is_reported(sinc_coeffs, gauss_inverse_coeffs):
         eval_inverse(gauss_inverse_coeffs, t)
 
 
+@pytest.mark.parametrize("direction", [Direction.FORWARD, Direction.INVERSE])
+def test_pole_on_the_real_axis_without_damping_is_reported(direction):
+    # sigma = 0 zeroes the pole bound (Re s)^2 at every real x, so the full
+    # test must run: s = +/-2 pi i x meets +/-i gamma_1 at x = gamma_1 / (2 pi)
+    coeffs = build_coefficients(dict(GDER_PARAMS, sigma=0.0), TargetKind.GAUSSIAN, direction)
+    evaluate = eval_forward if direction is Direction.FORWARD else eval_inverse
+    x = coeffs.gamma[0] / (2.0 * math.pi)
+    with pytest.raises(PoleError):
+        evaluate(coeffs, x)
+    with pytest.raises(PoleError):
+        evaluate(coeffs, np.array([0.0, 0.5, x]))
+
+
 # (4, 1) and (2, 32) broadcast against the 32 terms at M=6 and were once
 # returned unsummed; (3, 2) broadcasts against nothing
 @pytest.mark.parametrize("shape", [(3, 2), (4, 1), (2, 32)])

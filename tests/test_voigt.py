@@ -172,6 +172,19 @@ def test_residue_pole_is_reported(gauss_forward_coeffs):
                       VoigtPoint(g / (2.0 * math.pi), sigma / (2.0 * math.pi)))
 
 
+@pytest.mark.parametrize("sign", [-1.0, 1.0])
+def test_residue_pole_where_the_bounds_vanish(gauss_forward_coeffs, sign):
+    # 2 pi y = sigma zeroes both pole bounds.  x = -gamma_1 / (2 pi) is a pole
+    # of the first denominator and x = +gamma_1 / (2 pi) one of the second;
+    # both are poles of the third too, which is the one that computes to 0
+    g, sigma = gauss_forward_coeffs.gamma[0], gauss_forward_coeffs.params.sigma
+    p = VoigtPoint(sign * g / (2.0 * math.pi), sigma / (2.0 * math.pi))
+    with pytest.raises(PoleError):
+        voigt_residue(gauss_forward_coeffs, p)
+    with pytest.raises(PoleError):
+        voigt_residue_complex(gauss_forward_coeffs, p)
+
+
 def test_quadrature_tolerance_floor():
     for tol in (1e-16, math.inf, math.nan):
         with pytest.raises(ValueError, match="tol >= 1e-15"):
