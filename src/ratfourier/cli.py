@@ -112,6 +112,12 @@ def _echo_params(params, target, direction):
     )))
 
 
+def _report_sweep(max_abs_diff) -> int:
+    """Print a sweep's summary line; a difference that is not finite is a breach."""
+    print(f"max_abs_diff={_fmt(max_abs_diff)}")
+    return EXIT_OK if math.isfinite(max_abs_diff) else EXIT_BREACH
+
+
 def cmd_coeffs(args) -> int:
     params, target, direction = _resolve_setup(args)
     if args.out is None:
@@ -142,8 +148,7 @@ def cmd_scan(args) -> int:
     curve = error_scan(coeffs, ref, args.lo, args.hi, args.n)
     if args.out is not None:
         curve.write(args.out)
-    print(f"max_abs_diff={_fmt(curve.max_abs_diff)}")
-    return EXIT_OK
+    return _report_sweep(curve.max_abs_diff)
 
 
 def cmd_identity_check(args) -> int:
@@ -186,9 +191,7 @@ def cmd_voigt(args) -> int:
     if args.out is not None:
         _write_csv(args.out, "x,voigt_approx,voigt_ref,abs_diff", rows)
     # np.max, unlike max(), lets a NaN difference through
-    worst = float(np.max([row[3] for row in rows]))
-    print(f"max_abs_diff={_fmt(worst)}")
-    return EXIT_OK if math.isfinite(worst) else EXIT_BREACH
+    return _report_sweep(float(np.max([row[3] for row in rows])))
 
 
 def cmd_oracle(args) -> int:

@@ -14,7 +14,8 @@ sharing no arithmetic with the rational evaluators:
   w = e^(2 i gamma_1 t), summed by Horner's rule with one complex
   exponential per node and O(nodes) memory.
 
-Both refuse |nu| > 100: past that the kernel oscillation would need more
+Both cap the panel width at 1/(8|nu|), an eighth of the kernel's period,
+and refuse |nu| > 100: past that the kernel oscillation would need more
 panels than a spot-check oracle should ever spend.
 """
 
@@ -55,6 +56,11 @@ def _check_nu(nu):
         )
 
 
+def _osc_width(nu):
+    # an eighth of a period of the kernel e^(-2 pi i nu t); no cap at nu = 0
+    return 1.0 / (8.0 * abs(nu)) if nu != 0 else math.inf
+
+
 def fourier_forward_quadrature(target: TargetKind, shift: float, nu: float,
                                spec: QuadratureSpec, k: int = SURROGATE_K) -> complex:
     """Direct transform of the shifted target over [spec.lo, spec.hi]."""
@@ -69,10 +75,8 @@ def fourier_forward_quadrature(target: TargetKind, shift: float, nu: float,
     if target is TargetKind.RECT_SURROGATE:
         # surrogate shoulders: the only places with appreciable curvature
         breakpoints = [shift - 0.5, shift + 0.5]
-    max_width = None if nu == 0 else 1.0 / (8.0 * abs(nu))
-    return integrate(
-        integrand, spec.lo, spec.hi, spec.tol, breakpoints=breakpoints, max_width=max_width,
-    ).value
+    return integrate(integrand, spec.lo, spec.hi, spec.tol, breakpoints=breakpoints,
+                     max_width=_osc_width(nu)).value
 
 
 def _horner(c, w):
@@ -128,6 +132,5 @@ def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
         bracket *= np.exp(-(sigma + math.tau * 1j * nu) * t)
         return bracket
 
-    osc = 1.0 / (8.0 * abs(nu)) if nu != 0 else math.inf
-    max_width = min(4.0 / gamma[-1], osc)
+    max_width = min(4.0 / gamma[-1], _osc_width(nu))
     return integrate(integrand, 0.0, upper, spec.tol, max_width=max_width).value

@@ -54,8 +54,10 @@ def _require_gaussian(coeffs):
 def _point_free_factors(coeffs):
     """The residue sum's factors that do not depend on (x, y), per set.
 
-    They are kept on the coefficient set itself, whose arrays are read-only,
-    so each set computes them once and the cache goes away with the set.
+    The first two pole families are stacked as one, with c = [g - i sigma,
+    -(g + i sigma)] and numerators [num1, -num2].  The factors are kept on
+    the coefficient set itself, whose arrays are read-only, so each set
+    computes them once and the cache goes away with the set.
     """
     factors = vars(coeffs).get("_voigt_factors")
     if factors is None:
@@ -64,14 +66,13 @@ def _point_free_factors(coeffs):
         g = coeffs.gamma
         alpha = coeffs.alpha
         beta = coeffs.beta
-        gm = g - 1j * sigma
-        gp = g + 1j * sigma
+        c = np.concatenate((g - 1j * sigma, -(g + 1j * sigma)))
         num1 = np.exp(-a * (1j * g + sigma)) * (beta - 1j * alpha * g)
         num2 = 1j * np.exp(a * (1j * g - sigma)) * (alpha * g - 1j * beta)
         # gamma_1, gamma_max and (gamma_max + sigma)^2 as floats, for the pole
         # bounds; multiplied, not raised with **, so a huge set gives inf
         g1, g_top = float(g[0]), float(g[-1])
-        factors = (gm, gp, gm * gm, gp * gp, g * g, num1, num2,
+        factors = (c, c * c, np.concatenate((g, g)), g * g, np.concatenate((num1, -num2)),
                    g1, g_top, (g_top + sigma) * (g_top + sigma))
         object.__setattr__(coeffs, "_voigt_factors", factors)
     return factors
@@ -83,38 +84,33 @@ def _residue_terms(coeffs, p):
     x, y = p.x, p.y
     sigma = coeffs.params.sigma
     a = coeffs.params.a
-    g = coeffs.gamma
     alpha = coeffs.alpha
     beta = coeffs.beta
-    gm, gp, gm2, gp2, g2, num1, num2, g1, g_top, top2 = _point_free_factors(coeffs)
+    c, c2, g12, g2, num12, g1, g_top, top2 = _point_free_factors(coeffs)
 
     four_pi2_r2 = 4.0 * math.pi**2 * (x * x + y * y)
-    den1 = g * (four_pi2_r2 + 4.0 * math.pi * x * gm + gm2)
-    den2 = g * (four_pi2_r2 - 4.0 * math.pi * x * gp + gp2)
+    den12 = g12 * (four_pi2_r2 + 4.0 * math.pi * x * c + c2)
     t = math.tau * y
     w = math.tau * (x + 1j * y) - 1j * sigma
     den3 = t * (g2 - w * w)
     # A full test runs only where a pole bound does not clear the floor (a
-    # NaN bound does not).  den1 = g (u + 2 pi i y)(u - 2 pi i y) with
-    # u = 2 pi x + g - i sigma, and den2 alike, so |den1|, |den2| >=
+    # NaN bound does not).  den12 = g (u + 2 pi i y)(u - 2 pi i y) with
+    # u = 2 pi x + c and Im u = -sigma, so |den12| >=
     # gamma_1 |sigma^2 - (2 pi y)^2|.  The expanded sums and the bound round
     # with an absolute error below 32 eps gamma_max (4 pi^2 (x^2 + y^2) +
     # (gamma_max + sigma)^2), which the bound must also clear.
     if not (g1 * abs(sigma * sigma - t * t)
             > BOUND_CLEARS + _ROUNDING * g_top * (four_pi2_r2 + top2)):
-        check_denominator(den1, "residue denominator")
-        check_denominator(den2, "residue denominator")
+        check_denominator(den12, "residue denominator")
     # |g -/+ w| >= |Im w|, so |den3| >= 2 pi y (Im w)^2; g2 - w*w rounds as
     # gamma^2 + s*s does with s = i w, Re s = -Im w, so BOUND_CLEARS covers it
     wi = w.imag
     if not t * wi * wi >= BOUND_CLEARS:
         check_denominator(den3, "residue denominator")
 
-    term1 = num1 / den1
-    term2 = num2 / den2
     term3 = (1j * np.exp(2j * a * math.pi * (x + 1j * y))
              * (alpha * (math.tau * (y - 1j * x) - sigma) - beta) / den3)
-    return np.concatenate((term1, -term2, term3))
+    return np.concatenate((num12 / den12, term3))
 
 
 def voigt_residue_complex(coeffs: CoefficientSet, p: VoigtPoint) -> complex:
@@ -153,11 +149,12 @@ def voigt_residue(coeffs: CoefficientSet, p: VoigtPoint) -> float:
     [-2 pi, 2 pi] at y = 1 and 1e-4, fastest of 5 sweeps, three runs).  The
     point-free factors of the sum are formed on a set's first call and kept
     on the set.  At M=10 the exactly rounded math.fsum over the
-    3 * 2^(M-1) terms is about 60% of the time.  The three families of
-    denominators are tested in full only where their lower bounds,
-    gamma_1 |sigma^2 - (2 pi y)^2| and 2 pi y (2 pi y - sigma)^2, do not
-    clear the floor: on and next to the line 2 pi y = sigma, where all the
-    poles lie.
+    3 * 2^(M-1) terms is about 60% of the time.  The first two pole
+    families share one denominator array, g (4 pi^2 (x^2 + y^2) + 4 pi x c
+    + c^2), tested in full only where gamma_1 |sigma^2 - (2 pi y)^2| does
+    not clear the floor; the third is tested only where
+    2 pi y (2 pi y - sigma)^2 does not: on and next to the line
+    2 pi y = sigma, where all the poles lie.
 
     Range: 4 pi^2 (x^2 + y^2) overflows from |x| or y of about 1e154 on, and
     the sum is then NaN (with numpy overflow warnings), although VoigtPoint

@@ -168,6 +168,16 @@ def test_scan_at_an_exact_pole_is_a_breach(capsys):
     assert capsys.readouterr().err.startswith("error: denominator gamma_m^2 + s^2")
 
 
+@pytest.mark.parametrize("preset", ["sinc", "gauss-derivative"])
+def test_scan_nan_difference_is_a_breach(preset, capsys):
+    # the approximant and the reference overflow to NaN far out on the axis
+    with pytest.warns(RuntimeWarning):
+        rc = main(["scan", "--preset", preset, "--lo", "1e300", "--hi", "1.7e308",
+                   "--n", "2"])
+    assert rc == 1
+    assert _lines(capsys)[-1] == "max_abs_diff=nan"
+
+
 def test_unknown_preset_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["scan", "--preset", "nope"])

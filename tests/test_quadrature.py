@@ -59,6 +59,37 @@ def test_width_cap_splits_each_segment_like_linspace():
     assert np.array_equal(nodes, _nodes_of(cuts))
 
 
+def test_a_round_bisects_the_panels_outside_the_kept_prefix():
+    # max_width=1 cuts [0, 10] into unit panels; the integrand is nonzero
+    # only at a panel's centre node, so a panel's estimate depends on its
+    # amplitude alone, whatever order the rule sums in: amplitude 1 gives one
+    # unit exactly, and equal amplitudes tie exactly.  The halves' nodes miss
+    # every centre, so one round ends it
+    amps = np.array([3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0, 5.0, 3.0])
+    batches = []
+
+    def f(t):
+        batches.append(t.copy())
+        k = np.floor(t)
+        return np.where(t - k == 0.5, amps[k.astype(int)], 0.0)
+
+    unit = integrate(lambda t: np.where(t == 0.5, 1.0, 0.0), 0.0, 1.0, tol=1.0).err_est
+    # tol/2 is the smallest estimate exactly, so the prefix ends on an equality
+    tol = 2.0 * unit
+    integrate(f, 0.0, 10.0, tol=tol, max_width=1.0)
+
+    # ascending estimates, ties in panel order; keep the longest prefix whose
+    # running sum stays <= tol/2
+    order = sorted(range(len(amps)), key=lambda i: amps[i])
+    running = np.cumsum(amps[order] * unit)
+    cut = int(np.sum(running <= 0.5 * tol))
+    assert 0 < cut < len(amps) - 1
+    split = order[cut:]
+    assert len(batches) == 2
+    expected = np.concatenate([_nodes_of(np.array([i, i + 0.5, i + 1.0])) for i in split])
+    assert np.array_equal(batches[1].reshape(-1, 15), expected)
+
+
 def test_breakpoint_at_a_kink():
     value = integrate(np.abs, -1.0, 2.0, tol=1e-13, breakpoints=[0.0]).value
     assert value.real == pytest.approx(2.5, rel=1e-14)
