@@ -103,12 +103,12 @@ def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
     p and q.  Horner's rule sums both on arrays of the nodes' length, so a
     call costs one complex exponential and O(terms) multiply-adds per node
     and O(nodes) memory.  spec.lo and spec.hi are ignored; the domain is
-    dictated by `upper`.
+    dictated by `upper`, a positive number or math.inf (not -math.inf).
     """
     check_direction(coeffs, Direction.FORWARD, "damped-expansion oracle")
     _check_nu(nu)
     sigma = coeffs.params.sigma
-    if math.isinf(upper):
+    if upper == math.inf:
         if sigma <= 0:
             raise DampingError(
                 "infinite upper limit needs sigma > 0 to damp the expansion"

@@ -14,9 +14,10 @@ and may return real or complex values.
 Bookkeeping.  The breakpoints inside (lo, hi), duplicates dropped, cut the
 interval into segments, and max_width cuts each segment into
 ceil(width / max_width) equal panels at left + i * (width / n), the points
-np.linspace gives.  All initial panels go to the integrand in one batch,
-the halves of all the panels a round bisects in another, so there is one
-call per round, not per bisection; only the rule runs in numpy.  Between
+np.linspace gives; the default max_width = math.inf leaves each segment
+one panel.  All initial panels go to the integrand in one batch, the
+halves of all the panels a round bisects in another, so there is one call
+per round, not per bisection; only the rule runs in numpy.  Between
 batches the engine keeps one plain Python list of (err, value, left, right)
 panel records.  A round sorts it by estimate (stably, so tied panels keep
 their order), keeps the prefix and puts the records of the halves of the
@@ -60,8 +61,10 @@ _GAUSS_SLOTS = slice(1, 15, 2)  # the 7 Gauss nodes sit at the odd Kronrod slots
 # a panel narrower than this times its largest edge magnitude (at least 1)
 # cannot be bisected meaningfully
 _ROUNDING_FLOOR = 64.0 * float(np.finfo(float).eps)
-# the smallest tolerance the oracles accept
+# the smallest tolerance the engine and the oracles accept
 _TOL_FLOOR = 1e-15
+# the most panels the initial subdivision or a round may leave
+_MAX_PANELS = 10**6
 # the error estimate of an (err, value, left, right) panel record
 _estimate = itemgetter(0)
 
@@ -89,11 +92,15 @@ def _eval_panels(f, edges):
 def _initial_edges(lo, hi, breakpoints, max_width):
     pts = ([float(lo)] + sorted(float(p) for p in set(breakpoints) if lo < p < hi)
            + [float(hi)])
+    segments = list(zip(pts, pts[1:]))
+    counts = [max(1, math.ceil((right - left) / max_width)) for left, right in segments]
+    # the budget is checked on the counts, before any panel list is built
+    if sum(counts) > _MAX_PANELS:
+        raise ConvergenceError(
+            f"initial subdivision needs {sum(counts)} panels, budget is {_MAX_PANELS}"
+        )
     edges = []
-    for left, right in zip(pts, pts[1:]):
-        nsub = 1
-        if max_width is not None and max_width > 0:
-            nsub = max(1, math.ceil((right - left) / max_width))
+    for (left, right), nsub in zip(segments, counts):
         step = (right - left) / nsub
         cuts = [left + i * step for i in range(nsub)] + [right]
         edges.extend(zip(cuts, cuts[1:]))
@@ -115,25 +122,26 @@ class QuadratureResult:
     rounds: int
 
 
-def integrate(f, lo, hi, tol, max_panels=10**6, breakpoints=(), max_width=None):
+def integrate(f, lo, hi, tol, breakpoints=(), max_width=math.inf):
     """Integrate f over [lo, hi] to absolute tolerance tol.
 
     f must accept a 1-D ndarray of abscissae and return values of matching
     shape.  `breakpoints` seeds panel edges at known features; `max_width`
     caps the initial panel width (needed for oscillatory integrands so the
-    error estimate is meaningful from the start).  Returns a
-    QuadratureResult.  Raises ConvergenceError if a round would take the
-    panel count past max_panels (checked before its integrand call) or must
-    bisect a panel at the rounding floor.
+    error estimate is meaningful from the start); the default math.inf sets
+    no cap.  Returns a QuadratureResult.  Raises ValueError unless lo < hi
+    are finite, max_width > 0 and tol is a finite number >= 1e-15.  Raises
+    ConvergenceError if the initial subdivision or a round would take the
+    panel count past _MAX_PANELS (checked on the counts, before the panels
+    are built or the integrand called) or a round must bisect a panel at the
+    rounding floor.
     """
-    if not lo < hi:
-        raise ValueError(f"integration bounds must satisfy lo < hi (got {lo}, {hi})")
-    edges = _initial_edges(lo, hi, breakpoints, max_width)
-    if len(edges) > max_panels:
-        raise ConvergenceError(
-            f"initial subdivision needs {len(edges)} panels, budget is {max_panels}"
-        )
-    panels = _eval_panels(f, edges)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"finite lo < hi violated (got {lo}, {hi})")
+    if not max_width > 0:
+        raise ValueError(f"max_width > 0 violated (got {max_width})")
+    _check_tol(tol)
+    panels = _eval_panels(f, _initial_edges(lo, hi, breakpoints, max_width))
     total_err = math.fsum(map(_estimate, panels))
     rounds = 0
 
@@ -143,9 +151,9 @@ def integrate(f, lo, hi, tol, max_panels=10**6, breakpoints=(), max_width=None):
         # estimates never decrease, so panels with a zero estimate are kept
         panels.sort(key=_estimate)
         cut = bisect_right(list(accumulate(map(_estimate, panels))), 0.5 * tol)
-        if 2 * len(panels) - cut > max_panels:
+        if 2 * len(panels) - cut > _MAX_PANELS:
             raise ConvergenceError(
-                f"panel budget {max_panels} exhausted (error estimate {total_err:.3e}, tol {tol:.3e})"
+                f"panel budget {_MAX_PANELS} exhausted (error estimate {total_err:.3e}, tol {tol:.3e})"
             )
         halves = []
         for err, _, left, right in panels[cut:]:

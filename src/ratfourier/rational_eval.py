@@ -21,16 +21,19 @@ and a steady-state scan takes no page faults; 256 KB blocks fault on every
 block.  Rows are reduced independently, so the values are bit for bit
 those of one full-size pass.
 
-The pole guard tests a denominator only where a bound cannot rule the pole
-out.  Every term satisfies |gamma_m^2 + s^2| = |s - i gamma_m| |s + i gamma_m|
->= (Re s)^2, one real number per point: Re s = sigma -/+ 2 pi Im x forward /
-inverse.  Only a block holding a row whose bound falls short of
-errors.BOUND_CLEARS, four times DENOM_FLOOR to cover rounding, gets the full
-check_denominator pass; at real x that takes sigma = 0, and at complex x a
-point near the line Re s = 0.  The guard only decides whether to raise, so
-it changes no value, and it raises on the same inputs as testing every
-term.  A 1000-point error_scan of the coverage-preserving gauss-derivative
-sets took 0.30 / 0.96 / 3.6 / 13 / 39 ms at M = 6 / 8 / 10 / 12 (N=3520) /
+The pole guard tests the denominators only where a bound cannot rule the
+poles out.  Every term satisfies |gamma_m^2 + s^2| = |s - i gamma_m|
+|s + i gamma_m| >= (Re s)^2, one real number per point: Re s =
+sigma -/+ 2 pi Im x forward / inverse.  A call hands the smallest of these,
+the bound for all its points, to check_denominator, which tests every
+denominator in full only where the bound falls short of four times
+DENOM_FLOOR (the factor covers rounding) or is NaN.  At real x that takes
+sigma = 0, which makes every point fall short; a complex-x call with one
+point near the line Re s = 0 tests every block.  The guard only decides
+whether to raise, so it changes no value, and it raises on the same inputs
+as testing every term.  A 1000-point error_scan of the coverage-preserving
+gauss-derivative sets, whose real grid skips every full test, took
+0.30 / 0.96 / 3.6 / 13 / 39 ms at M = 6 / 8 / 10 / 12 (N=3520) /
 14 (N=2000); testing every term it took 0.35 / 1.21 / 4.5 / 17 / 51 ms.
 Each is the median of three alternating runs of the fastest of 20 scans
 (5 at M >= 12) on one core of a 2-core Intel Xeon VM.
@@ -42,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import CoefficientSet, Direction, _write_csv
-from .errors import BOUND_CLEARS, check_denominator, check_direction
+from .errors import check_denominator, check_direction
 from .targets import ReferenceKind, reference_value
 
 # bytes of one complex (points x terms) temporary per block (module docstring)
@@ -66,16 +69,13 @@ def _evaluate(coeffs, x, direction):
     gamma2 = coeffs.gamma[None, :] ** 2
     alpha, beta = coeffs.alpha[None, :], coeffs.beta[None, :]
     step = max(1, _BLOCK_BYTES // (16 * len(coeffs.gamma)))
-    # only the blocks holding a row whose bound (Re s)^2 does not clear the
-    # floor, or is NaN, get the full test (module docstring)
-    re_s = sigma_w.real
-    suspect = set((np.flatnonzero(~(re_s * re_s >= BOUND_CLEARS)) // step).tolist())
+    # one lower bound (Re s)^2 on every denominator of the call (module docstring)
+    bound = np.min(np.square(sigma_w.real), initial=math.inf)
     pole_sum = np.empty(len(w), dtype=complex)
     for lo in range(0, len(w), step):
         s = sigma_w[lo:lo + step, None]
         denom = gamma2 + s * s
-        if lo // step in suspect:
-            check_denominator(denom, "denominator gamma_m^2 + s^2")
+        check_denominator(denom, "denominator gamma_m^2 + s^2", bound)
         pole_sum[lo:lo + step] = np.sum((alpha * s + beta) / denom, axis=1)
     out = np.exp(w * coeffs.params.a) * pole_sum
     return complex(out[0]) if scalar else out

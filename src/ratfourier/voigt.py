@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet, Direction
-from .errors import BOUND_CLEARS, check_denominator, check_direction
+from .errors import check_denominator, check_direction
 from .quadrature import _check_tol, integrate
 from .targets import TargetKind
 
@@ -93,20 +93,18 @@ def _residue_terms(coeffs, p):
     t = math.tau * y
     w = math.tau * (x + 1j * y) - 1j * sigma
     den3 = t * (g2 - w * w)
-    # A full test runs only where a pole bound does not clear the floor (a
-    # NaN bound does not).  den12 = g (u + 2 pi i y)(u - 2 pi i y) with
-    # u = 2 pi x + c and Im u = -sigma, so |den12| >=
-    # gamma_1 |sigma^2 - (2 pi y)^2|.  The expanded sums and the bound round
-    # with an absolute error below 32 eps gamma_max (4 pi^2 (x^2 + y^2) +
-    # (gamma_max + sigma)^2), which the bound must also clear.
-    if not (g1 * abs(sigma * sigma - t * t)
-            > BOUND_CLEARS + _ROUNDING * g_top * (four_pi2_r2 + top2)):
-        check_denominator(den12, "residue denominator")
+    # den12 = g (u + 2 pi i y)(u - 2 pi i y) with u = 2 pi x + c and
+    # Im u = -sigma, so |den12| >= gamma_1 |sigma^2 - (2 pi y)^2|.  The
+    # expanded sums and the bound round with an absolute error below
+    # 32 eps gamma_max (4 pi^2 (x^2 + y^2) + (gamma_max + sigma)^2), which is
+    # taken off the bound.
+    check_denominator(den12, "residue denominator",
+                      g1 * abs(sigma * sigma - t * t) - _ROUNDING * g_top * (four_pi2_r2 + top2))
     # |g -/+ w| >= |Im w|, so |den3| >= 2 pi y (Im w)^2; g2 - w*w rounds as
-    # gamma^2 + s*s does with s = i w, Re s = -Im w, so BOUND_CLEARS covers it
+    # gamma^2 + s*s does with s = i w, Re s = -Im w, which the floor's
+    # factor 4 covers (errors)
     wi = w.imag
-    if not t * wi * wi >= BOUND_CLEARS:
-        check_denominator(den3, "residue denominator")
+    check_denominator(den3, "residue denominator", t * wi * wi)
 
     term3 = (1j * np.exp(2j * a * math.pi * (x + 1j * y))
              * (alpha * (math.tau * (y - 1j * x) - sigma) - beta) / den3)
@@ -151,10 +149,13 @@ def voigt_residue(coeffs: CoefficientSet, p: VoigtPoint) -> float:
     on the set.  At M=10 the exactly rounded math.fsum over the
     3 * 2^(M-1) terms is about 60% of the time.  The first two pole
     families share one denominator array, g (4 pi^2 (x^2 + y^2) + 4 pi x c
-    + c^2), tested in full only where gamma_1 |sigma^2 - (2 pi y)^2| does
-    not clear the floor; the third is tested only where
-    2 pi y (2 pi y - sigma)^2 does not: on and next to the line
-    2 pi y = sigma, where all the poles lie.
+    + c^2).  check_denominator gets a lower bound with each family's array
+    and tests it in full only where the bound does not clear the floor:
+    gamma_1 |sigma^2 - (2 pi y)^2| less a rounding allowance for the first
+    two, 2 pi y (2 pi y - sigma)^2 for the third.  Both fall short on and
+    next to the line 2 pi y = sigma, where all the poles lie; the first also
+    where |x| is so large that the allowance outweighs it (from about 6.4e5
+    at the Voigt preset and y = 1).
 
     Range: 4 pi^2 (x^2 + y^2) overflows from |x| or y of about 1e154 on, and
     the sum is then NaN (with numpy overflow warnings), although VoigtPoint

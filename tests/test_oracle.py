@@ -118,6 +118,12 @@ def test_expansion_upper_limit_validation(sinc_coeffs):
         damped_expansion_quadrature(sinc_coeffs, 150.0, math.inf, SPEC)
 
 
+def test_expansion_refuses_minus_infinity(sinc_coeffs):
+    # only +inf means the damped [0, inf) integral; -inf is a negative limit
+    with pytest.raises(ValueError, match="upper > 0"):
+        damped_expansion_quadrature(sinc_coeffs, 0.5, -math.inf, SPEC)
+
+
 # (params, target, nu values); above |nu| = 2.42 (sinc) or 1.24 (gauss-
 # derivative) the oscillation cap 1/(8|nu|), not 4/gamma_max, sets the panels
 _EXPANSION_CASES = {

@@ -1,11 +1,12 @@
 """Adaptive Gauss-Kronrod engine against integrals with closed forms."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ratfourier import ConvergenceError
+from ratfourier import ConvergenceError, quadrature
 from ratfourier.quadrature import _XK, integrate
 
 
@@ -114,20 +115,37 @@ def test_integrand_receives_batched_array():
     assert all(t.size % 15 == 0 for t in seen)
 
 
-def test_initial_subdivision_over_budget_raises():
+def test_initial_subdivision_over_budget_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 5)
     # max_width=1 cuts [0, 10] into 10 panels before any bisection
     with pytest.raises(ConvergenceError, match="initial subdivision needs 10 panels"):
-        integrate(np.cos, 0.0, 10.0, tol=1e-6, max_width=1.0, max_panels=5)
+        integrate(np.cos, 0.0, 10.0, tol=1e-6, max_width=1.0)
 
 
-def test_panel_budget_exhaustion_raises():
+def test_initial_budget_is_checked_before_the_panels_are_built(monkeypatch):
+    # 2^17 initial panels against a budget of 1000: the refusal comes from
+    # the panel counts, so a request for far more panels than memory holds
+    # fails at once instead of building their list first
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="initial subdivision needs 131072 panels"):
+            integrate(np.cos, 0.0, 1.0, tol=1e-6, max_width=2.0 ** -17)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_panel_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
     with pytest.raises(ConvergenceError):
-        integrate(lambda t: np.cos(200.0 * t * t), 0.0, 10.0, tol=1e-13,
-                  max_panels=4)
+        integrate(lambda t: np.cos(200.0 * t * t), 0.0, 10.0, tol=1e-13)
 
 
 @pytest.mark.parametrize("max_panels, calls", [(11, 1), (20, 2)])
-def test_panel_budget_is_checked_before_the_round(max_panels, calls):
+def test_panel_budget_is_checked_before_the_round(max_panels, calls, monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
     # max_width=1 gives 10 under-resolved panels; each round bisects all of
     # them, so a budget of 11 cannot take the first round and 20 fits the
     # first round (10 -> 20 panels) but not the second
@@ -138,19 +156,37 @@ def test_panel_budget_is_checked_before_the_round(max_panels, calls):
         return np.cos(200.0 * t * t)
 
     with pytest.raises(ConvergenceError, match=f"panel budget {max_panels} exhausted"):
-        integrate(f, 0.0, 10.0, tol=1e-13, max_width=1.0, max_panels=max_panels)
+        integrate(f, 0.0, 10.0, tol=1e-13, max_width=1.0)
     assert batches == [150, 300][:calls]
 
 
-def test_unresolvable_singularity_raises():
+def test_unresolvable_singularity_raises(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 3000)
     # 1/|t - 1/3| is not integrable; panel refinement around the pole can
     # never settle, so the engine must give up rather than return a number
     with pytest.raises(ConvergenceError):
-        integrate(lambda t: 1.0 / np.abs(t - 1.0 / 3.0), 0.0, 1.0,
-                  tol=1e-6, max_panels=3000)
+        integrate(lambda t: 1.0 / np.abs(t - 1.0 / 3.0), 0.0, 1.0, tol=1e-6)
 
 
-def test_convergence_error_is_a_runtime_error():
+def test_convergence_error_is_a_runtime_error(monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
     with pytest.raises(RuntimeError):
-        integrate(lambda t: np.cos(200.0 * t * t), 0.0, 10.0, tol=1e-13,
-                  max_panels=4)
+        integrate(lambda t: np.cos(200.0 * t * t), 0.0, 10.0, tol=1e-13)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0)])
+def test_infinite_limit_is_refused(lo, hi):
+    with pytest.raises(ValueError, match="finite lo < hi"):
+        integrate(np.cos, lo, hi, tol=1e-10)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+def test_tolerance_outside_the_engine_range_is_refused(tol):
+    with pytest.raises(ValueError, match="tol"):
+        integrate(np.cos, 0.0, 10.0, tol=tol)
+
+
+@pytest.mark.parametrize("max_width", [0.0, -1.0, math.nan])
+def test_non_positive_width_cap_is_refused(max_width):
+    with pytest.raises(ValueError, match="max_width > 0"):
+        integrate(np.cos, 0.0, 10.0, tol=1e-10, max_width=max_width)

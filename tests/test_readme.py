@@ -1,11 +1,14 @@
-"""The README's tables, checked against the modules and presets they name."""
+"""The README's tables and quick start, checked against the code they name."""
 
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ratfourier
 from conftest import GDER_PARAMS, SINC_PARAMS
 from ratfourier import ApproxParams
 from ratfourier.cli import _PRESET_BINDINGS
@@ -48,3 +51,13 @@ def test_presets_agree_across_suite_cli_and_readme():
         binding = _PRESET_BINDINGS[name][0]
         for column in ("a", "M", "N", "h", "sigma"):
             assert float(row[column]) == binding[column], (name, column)
+
+
+def test_quick_start_runs_and_meets_criterion_2():
+    # the ```python block, run as a user would, in a fresh interpreter
+    code = README.split("Quick start:\n\n```python\n", 1)[1].split("\n```", 1)[0]
+    src = Path(ratfourier.__file__).resolve().parent.parent
+    result = subprocess.run([sys.executable, "-c", code], cwd=src, capture_output=True,
+                            text=True, timeout=120, check=True)
+    # criterion 2 bounds the nu e^(-nu^2) scan by 7.3e-12
+    assert float(result.stdout) < 7.3e-12
