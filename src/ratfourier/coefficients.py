@@ -19,10 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FileFormatError, RangeError
+from .errors import FileFormatError
 from .targets import ApproxParams, SampleSet, TargetKind
-
-MAX_SAMPLES = 10_000
 
 _FIELDS = (*(f.name for f in fields(ApproxParams)),
            "direction", "target", "alpha", "beta", "gamma")
@@ -74,18 +72,16 @@ def compute_coefficients(samples: SampleSet, direction: Direction = Direction.FO
     """Fold a damped sample set into expansion coefficients.
 
     The real and imaginary sample rows are folded and transformed apart, in
-    O(N + 2^M M) time and O(2^M) memory, which keeps the alpha of purely
-    imaginary samples purely imaginary.  The fold and the rfft run in
+    O(N + 2^M M) time, which keeps the alpha of purely imaginary samples
+    purely imaginary.  Memory is O(N + 2^M): about 48 B per sample plus
+    about 98 B per slot of the 2^(M+1)-point fold, by tracemalloc 3.9 MB at
+    M=14, N=14,079, 62 MB at M=18, N=225,279 and 251 MB at M=20, N=999,999.  The fold and the rfft run in
     longdouble and only the final alpha, beta are rounded to binary64: the
     damped samples span many decades and the projections cancel, so a
     binary64 transform leaves up to five times the error of one rounding.
     A binary64 longdouble degrades the results gracefully to that.
     """
     params = samples.params
-    if params.N + 1 > MAX_SAMPLES:
-        raise RangeError(
-            f"sample count N+1 must not exceed {MAX_SAMPLES} (got {params.N + 1})"
-        )
     ld = np.longdouble
     L = 2 ** (params.M + 1)
     rows = np.zeros((2, -(-(params.N + 1) // L) * L), dtype=ld)

@@ -1,8 +1,18 @@
-"""Exception types shared across the package, and the guards that raise them."""
+"""Exception types shared across the package, and the guards that raise them.
+
+The truncation order, integration interval and quadrature tolerance
+limits each have their one guard here, which every module that takes
+such an input calls.
+"""
+
+import math
 
 import numpy as np
 
 DENOM_FLOOR = 1e-300
+MAX_ORDER = 24  # 2^(M-1) summation terms; larger orders are not desk-scale
+# the smallest tolerance the quadrature engine and the oracles accept
+TOL_FLOOR = 1e-15
 
 # check_denominator skips its full test where the caller's lower bound on
 # the magnitudes reaches this.  Take the evaluator's bound (Re s)^2 on the
@@ -18,6 +28,26 @@ _BOUND_CLEARS = 4.0 * DENOM_FLOOR
 
 class RangeError(ValueError):
     """An index or argument fell outside its documented range."""
+
+
+def check_order(M: int) -> None:
+    """Raise RangeError unless the truncation order M is in 1..MAX_ORDER."""
+    if M < 1:
+        raise RangeError(f"M >= 1 violated (got {M})")
+    if M > MAX_ORDER:
+        raise RangeError(f"M <= {MAX_ORDER} violated (got {M}); 2^(M-1) terms is not desk-scale")
+
+
+def check_interval(lo, hi) -> None:
+    """Raise ValueError unless 0 < hi - lo < inf, so lo < hi are finite and so is the width."""
+    if not 0 < hi - lo < math.inf:
+        raise ValueError(f"finite lo < hi violated: hi - lo must lie in (0, inf) (got {lo}, {hi})")
+
+
+def check_tol(tol) -> None:
+    """Raise ValueError unless tol is a finite number >= TOL_FLOOR."""
+    if not TOL_FLOOR <= tol < math.inf:
+        raise ValueError(f"finite tol >= {TOL_FLOOR:g} violated (got {tol})")
 
 
 class DirectionError(ValueError):

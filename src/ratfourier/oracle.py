@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet, Direction
-from .errors import DampingError, RangeError, check_direction
-from .quadrature import _check_tol, integrate
+from .errors import DampingError, RangeError, check_direction, check_interval, check_tol
+from .quadrature import integrate
 from .targets import SURROGATE_K, TargetKind, target_value
 
 _NU_LIMIT = 100.0
@@ -42,11 +42,8 @@ class QuadratureSpec:
     tol: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"lo and hi must be finite (got {self.lo}, {self.hi})")
-        if not self.lo < self.hi:
-            raise ValueError(f"lo < hi violated (got {self.lo}, {self.hi})")
-        _check_tol(self.tol)
+        check_interval(self.lo, self.hi)
+        check_tol(self.tol)
 
 
 def _check_nu(nu):

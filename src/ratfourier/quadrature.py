@@ -35,7 +35,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_interval, check_tol
 
 # 7/15 Gauss-Kronrod abscissae and weights on [-1, 1].
 _XK = np.array([
@@ -61,17 +61,10 @@ _GAUSS_SLOTS = slice(1, 15, 2)  # the 7 Gauss nodes sit at the odd Kronrod slots
 # a panel narrower than this times its largest edge magnitude (at least 1)
 # cannot be bisected meaningfully
 _ROUNDING_FLOOR = 64.0 * float(np.finfo(float).eps)
-# the smallest tolerance the engine and the oracles accept
-_TOL_FLOOR = 1e-15
 # the most panels the initial subdivision or a round may leave
 _MAX_PANELS = 10**6
 # the error estimate of an (err, value, left, right) panel record
 _estimate = itemgetter(0)
-
-
-def _check_tol(tol):
-    if not _TOL_FLOOR <= tol < math.inf:
-        raise ValueError(f"finite tol >= {_TOL_FLOOR:g} violated (got {tol})")
 
 
 def _eval_panels(f, edges):
@@ -93,11 +86,14 @@ def _initial_edges(lo, hi, breakpoints, max_width):
     pts = ([float(lo)] + sorted(float(p) for p in set(breakpoints) if lo < p < hi)
            + [float(hi)])
     segments = list(zip(pts, pts[1:]))
-    counts = [max(1, math.ceil((right - left) / max_width)) for left, right in segments]
-    # the budget is checked on the counts, before any panel list is built
+    ratios = [(right - left) / max_width for left, right in segments]
+    # an inf ratio, from a tiny max_width or a huge interval, is counted as
+    # inf rather than handed to ceil, which overflows on it; the budget is
+    # checked on the counts, before any panel list is built
+    counts = [max(1, math.ceil(r)) if r < math.inf else r for r in ratios]
     if sum(counts) > _MAX_PANELS:
         raise ConvergenceError(
-            f"initial subdivision needs {sum(counts)} panels, budget is {_MAX_PANELS}"
+            f"initial subdivision needs {sum(counts):.7g} panels, budget is {_MAX_PANELS}"
         )
     edges = []
     for (left, right), nsub in zip(segments, counts):
@@ -129,18 +125,18 @@ def integrate(f, lo, hi, tol, breakpoints=(), max_width=math.inf):
     shape.  `breakpoints` seeds panel edges at known features; `max_width`
     caps the initial panel width (needed for oscillatory integrands so the
     error estimate is meaningful from the start); the default math.inf sets
-    no cap.  Returns a QuadratureResult.  Raises ValueError unless lo < hi
-    are finite, max_width > 0 and tol is a finite number >= 1e-15.  Raises
+    no cap.  Returns a QuadratureResult.  Raises ValueError unless
+    0 < hi - lo < inf (errors.check_interval), max_width > 0 and tol is a
+    finite number >= 1e-15 (errors.check_tol).  Raises
     ConvergenceError if the initial subdivision or a round would take the
     panel count past _MAX_PANELS (checked on the counts, before the panels
     are built or the integrand called) or a round must bisect a panel at the
     rounding floor.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"finite lo < hi violated (got {lo}, {hi})")
+    check_interval(lo, hi)
     if not max_width > 0:
         raise ValueError(f"max_width > 0 violated (got {max_width})")
-    _check_tol(tol)
+    check_tol(tol)
     panels = _eval_panels(f, _initial_edges(lo, hi, breakpoints, max_width))
     total_err = math.fsum(map(_estimate, panels))
     rounds = 0

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coefficients import CoefficientSet, Direction, _write_csv
-from .errors import check_denominator, check_direction
+from .errors import check_denominator, check_direction, check_interval
 from .targets import ReferenceKind, reference_value
 
 # bytes of one complex (points x terms) temporary per block (module docstring)
@@ -121,10 +121,7 @@ class EvaluationCurve:
 def error_scan(coeffs: CoefficientSet, reference: ReferenceKind,
                lo: float, hi: float, count: int) -> EvaluationCurve:
     """Scan the approximant against a reference on an inclusive uniform grid."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"lo and hi must be finite (got {lo}, {hi})")
-    if not lo < hi:
-        raise ValueError(f"lo < hi violated (got {lo}, {hi})")
+    check_interval(lo, hi)
     if count < 2:
         raise ValueError(f"count >= 2 violated (got {count})")
     x = np.linspace(lo, hi, count)

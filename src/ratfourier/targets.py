@@ -22,8 +22,14 @@ from enum import Enum
 
 import numpy as np
 
+# MAX_ORDER lives in errors with its guard; it stays importable from here
+from .errors import MAX_ORDER, RangeError, check_order
+
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78, binary64 overflow threshold
-MAX_ORDER = 24  # 2^(M-1) summation terms; larger orders are not desk-scale
+# the most samples N + 1 a run may take, set by memory, not time: at its
+# peak sample_grid holds 48 B per sample for the Gaussian target (56 and
+# 66-74 B for the others; tracemalloc), about 200 MB at the cap
+MAX_SAMPLES = 1 << 22
 
 SQRT_PI = math.sqrt(math.pi)
 # default half-exponent k of the rectangle surrogate 1/((2t)^(2k) + 1)
@@ -64,7 +70,9 @@ class ApproxParams:
     M, N and k must be integers (numpy integers included) and a, h and
     sigma real numbers, not bools, and each must be finite and within the
     double range; a violation raises ValueError naming the field.  Each
-    is stored as its field's type, int or float.
+    is stored as its field's type, int or float.  M must lie in
+    1..MAX_ORDER and N + 1 must not exceed MAX_SAMPLES; those two raise
+    RangeError, a ValueError.
     """
 
     a: float
@@ -87,10 +95,7 @@ class ApproxParams:
             if not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{f.name} must be finite and within the double range")
             object.__setattr__(self, f.name, f.type(value))
-        if self.M < 1:
-            raise ValueError(f"M >= 1 violated (got {self.M})")
-        if self.M > MAX_ORDER:
-            raise ValueError(f"M <= {MAX_ORDER} violated (got {self.M}); 2^(M-1) terms is not desk-scale")
+        check_order(self.M)
         if not self.h > 0:
             raise ValueError(f"h > 0 violated (got {self.h})")
         if self.sigma < 0:
@@ -99,6 +104,8 @@ class ApproxParams:
             raise ValueError(f"k >= 1 violated (got {self.k})")
         if self.N < 0:
             raise ValueError(f"N >= 0 violated (got {self.N})")
+        if self.N + 1 > MAX_SAMPLES:
+            raise RangeError(f"N + 1 <= {MAX_SAMPLES} violated (got {self.N + 1})")
         if not math.isfinite(self.period):
             raise ValueError(f"h = {self.h} is too large: the period 2^(M+1)*h overflows")
         if self.N * self.h < 2.0 * self.a:

@@ -21,18 +21,13 @@ import math
 
 import numpy as np
 
-from .errors import RangeError
-from .targets import MAX_ORDER, ApproxParams
-
-
-def _check_order(M: int):
-    if M < 1 or M > MAX_ORDER:
-        raise RangeError(f"truncation order M must be in 1..{MAX_ORDER} (got {M})")
+from .errors import check_order
+from .targets import ApproxParams
 
 
 def viete_product(t: float, M: int) -> float:
     """Truncated cosine product prod_{m=1..M} cos(t / 2^m)."""
-    _check_order(M)
+    check_order(M)
     prod = 1.0
     for m in range(1, M + 1):
         prod *= math.cos(t / 2.0**m)
@@ -45,7 +40,7 @@ def cosine_sum(t: float, M: int) -> float:
     Equals viete_product(t, M) exactly in real arithmetic; in binary64 the
     two sides agree to ~1e-13 over |t| <= 100 for M up to MAX_ORDER.
     """
-    _check_order(M)
+    check_order(M)
     terms = 1 << (M - 1)
     odd = 2.0 * np.arange(1, terms + 1) - 1.0
     values = np.cos(odd * (t / 2.0**M))

@@ -42,6 +42,15 @@ def test_coeffs_requires_out(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_oversized_sample_count_is_refused(tmp_path, capsys):
+    # refused by ApproxParams, before sample_grid would allocate 48 B per sample
+    path = tmp_path / "over.json"
+    assert main(["coeffs", "--a", "0.1", "--M", "6", "--N", "1000000000000", "--h", "1e-15",
+                 "--sigma", "0", "--target", "gauss", "--out", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: N + 1 <= 4194304 violated")
+    assert not path.exists()
+
+
 def test_preset_and_explicit_flags_conflict(tmp_path, capsys):
     path = tmp_path / "c.json"
     rc = main(["coeffs", "--preset", "sinc", "--a", "1.0", "--out", str(path)])
@@ -95,7 +104,8 @@ def test_scan_writes_curve_file(tmp_path, capsys):
     assert len(lines) == 12
 
 
-@pytest.mark.parametrize("flags", [["--lo=-inf", "--hi", "0"], ["--lo", "0", "--hi", "nan"]])
+@pytest.mark.parametrize("flags", [["--lo=-inf", "--hi", "0"], ["--lo", "0", "--hi", "nan"],
+                                   ["--lo=-1e308", "--hi=1e308"]])
 def test_scan_validation(flags, capsys):
     assert main(["scan", "--preset", "gauss-derivative", *flags]) == 2
     assert capsys.readouterr().err.startswith("error:")

@@ -20,13 +20,13 @@ from ratfourier import (
     RangeError,
     ReferenceKind,
     TargetKind,
-    compute_coefficients,
     error_scan,
     gamma_grid,
     load_coefficients,
     sample_grid,
     save_coefficients,
 )
+from ratfourier.targets import MAX_SAMPLES
 
 import bruteforce
 from conftest import (
@@ -130,10 +130,10 @@ def test_direction_is_recorded():
 
 
 def test_sample_budget_enforced():
-    p = ApproxParams(a=0.1, M=1, N=10_000, h=1e-4, sigma=0.0)
-    samples = sample_grid(TargetKind.GAUSSIAN, p)
+    # the cap is a parameter limit, refused before any sample is allocated
+    assert ApproxParams(a=0.1, M=1, N=MAX_SAMPLES - 1, h=1e-4, sigma=0.0).N + 1 == MAX_SAMPLES
     with pytest.raises(RangeError):
-        compute_coefficients(samples)
+        ApproxParams(a=0.1, M=1, N=MAX_SAMPLES, h=1e-4, sigma=0.0)
 
 
 def test_shape_mismatch_rejected(sinc_coeffs):
@@ -286,6 +286,12 @@ def test_pre_delta_file_rejected(tmp_path, gder_coeffs):
     # files written before ApproxParams lost its unused delta are refused
     path = _dump_mutated(tmp_path, gder_coeffs, lambda d: d.update(delta=0.1))
     with pytest.raises(FileFormatError, match="unknown fields: delta"):
+        load_coefficients(path)
+
+
+def test_sample_cap_in_file_rejected(tmp_path, gder_coeffs):
+    path = _dump_mutated(tmp_path, gder_coeffs, lambda d: d.update(N=MAX_SAMPLES))
+    with pytest.raises(FileFormatError, match=rf"N \+ 1 <= {MAX_SAMPLES}"):
         load_coefficients(path)
 
 

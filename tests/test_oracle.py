@@ -38,6 +38,7 @@ ORACLE_SPEC = QuadratureSpec(lo=-8.0, hi=8.0, tol=1e-10)
         dict(lo=-math.inf, hi=0.0, tol=1e-12),
         dict(lo=0.0, hi=math.inf, tol=1e-12),
         dict(lo=math.nan, hi=8.0, tol=1e-12),
+        dict(lo=-1e308, hi=1e308, tol=1e-12),
         dict(lo=-8.0, hi=8.0, tol=math.inf),
     ],
 )

@@ -137,6 +137,15 @@ def test_initial_budget_is_checked_before_the_panels_are_built(monkeypatch):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("hi, max_width", [(1.0, 1e-320), (1e300, 1e-10)])
+def test_overflowing_initial_subdivision_raises(hi, max_width):
+    # (hi - lo) / max_width overflows to inf: the count is refused as inf
+    # against the budget, not handed to ceil, and prints in a few digits
+    with pytest.raises(ConvergenceError, match="needs inf panels, budget is 1000000") as info:
+        integrate(np.cos, 0.0, hi, 1e-10, max_width=max_width)
+    assert len(str(info.value)) < 80
+
+
 def test_panel_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
     with pytest.raises(ConvergenceError):
@@ -174,7 +183,7 @@ def test_convergence_error_is_a_runtime_error(monkeypatch):
         integrate(lambda t: np.cos(200.0 * t * t), 0.0, 10.0, tol=1e-13)
 
 
-@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0)])
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (-1e308, 1e308)])
 def test_infinite_limit_is_refused(lo, hi):
     with pytest.raises(ValueError, match="finite lo < hi"):
         integrate(np.cos, lo, hi, tol=1e-10)

@@ -154,6 +154,9 @@ def test_scan_dispatches_on_direction(gauss_inverse_coeffs):
 def test_scan_argument_validation(sinc_coeffs):
     with pytest.raises(ValueError, match="lo < hi"):
         error_scan(sinc_coeffs, ReferenceKind.SINC, 1.0, 1.0, 10)
+    # finite limits whose width overflows
+    with pytest.raises(ValueError, match="lo < hi"):
+        error_scan(sinc_coeffs, ReferenceKind.SINC, -1e308, 1e308, 10)
     with pytest.raises(ValueError, match="count >= 2"):
         error_scan(sinc_coeffs, ReferenceKind.SINC, 0.0, 1.0, 1)
 

@@ -17,6 +17,7 @@ from ratfourier import (
     sample_grid,
     target_value,
 )
+from ratfourier.targets import MAX_SAMPLES
 
 from conftest import GDER_PARAMS, SINC_PARAMS
 
@@ -39,6 +40,7 @@ def test_period_and_term_count():
         ("sigma", -1.0, "sigma >= 0"),
         ("k", 0, "k >= 1"),
         ("N", -1, "N >= 0"),
+        ("N", MAX_SAMPLES, r"N \+ 1 <= 4194304"),
     ],
 )
 def test_invariant_violations_name_the_invariant(field, value, fragment):
@@ -64,6 +66,7 @@ _INVALID = st.one_of(
     st.tuples(st.just("M"), st.one_of(_NON_INTEGRAL, st.integers(max_value=0),
                                       st.integers(min_value=25))),
     st.tuples(st.just("N"), st.one_of(_NON_INTEGRAL, st.integers(max_value=-1),
+                                      st.integers(min_value=MAX_SAMPLES),
                                       st.just(10**400))),
     st.tuples(st.just("k"), st.one_of(_NON_INTEGRAL, st.integers(max_value=0))),
 )
