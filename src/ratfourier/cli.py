@@ -17,7 +17,7 @@ import numpy as np
 
 from .coefficients import (Direction, _fmt, _param_text, _write_csv, compute_coefficients,
                            load_coefficients, save_coefficients)
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_interval
 from .oracle import QuadratureSpec, fourier_forward_quadrature
 from .rational_eval import error_scan
 from .targets import (SURROGATE_K, ApproxParams, ReferenceKind, TargetKind,
@@ -172,11 +172,10 @@ def cmd_identity_check(args) -> int:
 def cmd_voigt(args) -> int:
     if args.n < 1:
         raise ValueError(f"n >= 1 violated (got {args.n})")
-    if not (math.isfinite(args.lo) and math.isfinite(args.hi)):
-        raise ValueError(f"lo and hi must be finite (got {args.lo}, {args.hi})")
-    if args.lo > args.hi:
-        raise ValueError(f"lo <= hi violated (got {args.lo}, {args.hi})")
-    if args.lo == args.hi and args.n != 1:
+    # a finite lo == hi is the one-point sweep; anything else is an interval
+    if args.lo != args.hi or not math.isfinite(args.lo):
+        check_interval(args.lo, args.hi)
+    elif args.n != 1:
         raise ValueError("lo == hi needs n=1")
     params, target, direction = _resolve_setup(args, _VOIGT_BINDING)
     coeffs = compute_coefficients(sample_grid(target, params), direction)

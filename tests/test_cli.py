@@ -251,11 +251,16 @@ def test_voigt_explicit_parameters(capsys):
         ["--y", "1", "--lo", "nan", "--hi", "nan"],
         ["--y", "1", "--hi", "inf"],
         ["--y", "1", "--lo", "0", "--hi", "0", "--n", "1", "--tol", "inf"],
+        ["--y", "1", "--lo=-1e308", "--hi=1e308", "--n", "3"],
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_voigt_validation(flags, capsys):
     assert main(["voigt", *flags]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    # refused by the inputs given, not by a NaN computed from them
+    assert "nan" not in err or "nan" in flags
 
 
 @pytest.mark.parametrize("flags", [["--y", "1", "--lo", "1e300", "--hi", "1e300"],
