@@ -162,7 +162,7 @@ def cmd_identity_check(args) -> int:
     t = rng.uniform(-100.0, 100.0, args.samples)
     worst = 0.0
     for M in range(args.m_min, args.m_max + 1):
-        dev = max(abs(viete_product(ti, M) - cosine_sum(ti, M)) for ti in t)
+        dev = max(abs(viete_product(ti, M) - cosine_sum(ti, M)) for ti in t.tolist())
         print(f"M={M} max_dev={_fmt(dev)}")
         worst = max(worst, dev)
     print(f"max_deviation={_fmt(worst)}")

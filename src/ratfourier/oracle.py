@@ -10,9 +10,10 @@ sharing no arithmetic with the rational evaluators:
   [0, upper].  With upper = infinity the damping envelope e^(-sigma t)
   justifies truncating where the envelope falls below 1e-18.  The
   odd-harmonic grid gamma_m = (2m - 1) gamma_1, an invariant of every
-  CoefficientSet, turns the expansion into two polynomials in
-  w = e^(2 i gamma_1 t), summed by Horner's rule with one complex
-  exponential per node and O(nodes) memory.
+  CoefficientSet, turns the real and the imaginary part of the expansion
+  each into 2 Re(z P(w)), z = e^(i gamma_1 t), w = z^2, with P a
+  polynomial summed by Horner's rule: one Horner pass per node and
+  nonzero part, one complex exponential per node and O(nodes) memory.
 
 Both cap the panel width at 1/(8|nu|), an eighth of the kernel's period,
 and refuse |nu| > 100: past that the kernel oscillation would need more
@@ -92,15 +93,21 @@ def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
     The expansion is rebuilt from (alpha, beta, gamma) via the exact
     identity sum_n v_n cos(gamma (t - nh)) = alpha cos(gamma t)
     + (beta/gamma) sin(gamma t) per term, so the integrand matches the
-    pre-rearrangement double-sum form without quadratic cost.  Written as
-    p_m e^(i gamma_m t) + q_m e^(-i gamma_m t), with
-    p_m, q_m = (alpha_m -/+ i beta_m/gamma_m)/2, and with the grid invariant
-    gamma_m = (2m - 1) gamma_1, the bracket is z P(w) + conj(z) Q(conj(w)),
-    z = e^(i gamma_1 t), w = z^2, P and Q the polynomials with coefficients
-    p and q.  Horner's rule sums both on arrays of the nodes' length, so a
-    call costs one complex exponential and O(terms) multiply-adds per node
-    and O(nodes) memory.  spec.lo and spec.hi are ignored; the domain is
-    dictated by `upper`, a positive number or math.inf (not -math.inf).
+    pre-rearrangement double-sum form without quadratic cost.  With the
+    grid invariant gamma_m = (2m - 1) gamma_1, e^(i gamma_m t) = z w^(m-1)
+    for z = e^(i gamma_1 t) and w = z^2.  The real part of the expansion,
+    sum_m a_m cos(gamma_m t) + c_m sin(gamma_m t) with (a, c) the real
+    parts of (alpha, beta/gamma), is then 2 Re(z P(w)) for the polynomial
+    P with coefficients (a_m - i c_m)/2, summed here without the exact
+    halving as Re(z (2P)(w)).  The imaginary part, with (a, c) the
+    imaginary parts, is the same sum, taken as Im(z (2iP)(w)).  A part
+    whose coefficients are all zero is skipped.  Every catalogue target
+    gives a real (sinc, Gaussian) or a purely imaginary (gauss-derivative)
+    expansion, so each node takes one Horner pass; a set with both parts
+    nonzero takes two.  A call costs one complex exponential and O(terms)
+    multiply-adds per node and nonzero part, and O(nodes) memory.  spec.lo
+    and spec.hi are ignored; the domain is dictated by `upper`, a positive
+    number or math.inf (not -math.inf).
     """
     check_direction(coeffs, Direction.FORWARD, "damped-expansion oracle")
     _check_nu(nu)
@@ -115,19 +122,21 @@ def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
         raise ValueError(f"upper > 0 violated (got {upper})")
 
     gamma = coeffs.gamma
-    beta_over_gamma = coeffs.beta / gamma
-    p = 0.5 * (coeffs.alpha - 1j * beta_over_gamma)
-    q = 0.5 * (coeffs.alpha + 1j * beta_over_gamma)
+    alpha, beta_over_gamma = coeffs.alpha, coeffs.beta / gamma
+    # Re of the expansion is Re(z H(w)) for H = Re alpha - i Re(beta/gamma),
+    # Im of it Im(z H(w)) for H = Im(beta/gamma) + i Im alpha, i times the
+    # same form; a part whose H is all zeros is skipped
+    parts = [(unit, part, c) for unit, part, c in
+             ((1.0, np.real, alpha.real - 1j * beta_over_gamma.real),
+              (1j, np.imag, beta_over_gamma.imag + 1j * alpha.imag)) if c.any()]
     gamma_1 = float(gamma[0])
 
     def integrand(t):
         # gamma_m = (2m-1) gamma_1, so e^(i gamma_m t) = z w^(m-1)
         z = np.exp(1j * gamma_1 * t)
         w = z * z
-        bracket = z * _horner(p, w)
-        bracket += z.conjugate() * _horner(q, w.conjugate())
-        bracket *= np.exp(-(sigma + math.tau * 1j * nu) * t)
-        return bracket
+        bracket = sum(unit * part(z * _horner(c, w)) for unit, part, c in parts)
+        return bracket * np.exp(-(sigma + math.tau * 1j * nu) * t)
 
     max_width = min(4.0 / gamma[-1], _osc_width(nu))
     return integrate(integrand, 0.0, upper, spec.tol, max_width=max_width).value

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import CoefficientSet, Direction
-from .errors import check_denominator, check_direction, check_tol
+from .errors import RangeError, check_denominator, check_direction, check_tol
 from .quadrature import integrate
 from .targets import TargetKind
 
@@ -89,8 +89,13 @@ def _residue_terms(coeffs, p):
     c, c2, g12, g2, num12, g1, g_top, top2 = _point_free_factors(coeffs)
 
     four_pi2_r2 = 4.0 * math.pi**2 * (x * x + y * y)
-    den12 = g12 * (four_pi2_r2 + 4.0 * math.pi * x * c + c2)
     t = math.tau * y
+    # (gamma_max + 2 pi y)(4 pi^2 (x^2 + y^2) + (gamma_max + sigma)^2) bounds
+    # |den12| and |den3| from above, so below it nothing overflows
+    if not math.isfinite((g_top + t) * (four_pi2_r2 + top2)):
+        raise RangeError(f"|x| or y too large for the residue sum (got x={x}, y={y}); "
+                         f"its denominators would overflow")
+    den12 = g12 * (four_pi2_r2 + 4.0 * math.pi * x * c + c2)
     w = math.tau * (x + 1j * y) - 1j * sigma
     den3 = t * (g2 - w * w)
     # den12 = g (u + 2 pi i y)(u - 2 pi i y) with u = 2 pi x + c and
@@ -161,9 +166,13 @@ def voigt_residue(coeffs: CoefficientSet, p: VoigtPoint) -> float:
     where |x| is so large that the allowance outweighs it (from about 6.4e5
     at the Voigt preset and y = 1).
 
-    Range: 4 pi^2 (x^2 + y^2) overflows from |x| or y of about 1e154 on, and
-    the sum is then NaN (with numpy overflow warnings), although VoigtPoint
-    accepts every finite x and y > 0; at 1e150 it is finite.
+    Domain: RangeError where (gamma_max + 2 pi y)(4 pi^2 (x^2 + y^2)
+    + (gamma_max + sigma)^2) overflows, although VoigtPoint accepts every
+    finite x and y > 0.  That scalar bounds |den12| and |den3| from above,
+    so below it nothing overflows and the absolute bound holds (x = 1e150
+    gives -5.2e-170); past it a denominator would overflow and drop terms
+    or give NaN.  At y = 1 the edge is |x| = 3.15e152 at M=6 and 8.37e151
+    at M=10, at x = 0 it is y = 8.98e101 at both orders.
     """
     # Re(2 pi i y (re + i im)) = -2 pi y im: the real parts of the terms
     # only feed the diagnostic imaginary part, so they are not summed here

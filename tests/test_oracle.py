@@ -1,6 +1,7 @@
 """Quadrature oracles: QuadratureSpec validation, transform pairs, guards."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -139,6 +140,10 @@ _EXPANSION_CASES = {
     # one term: the Horner loop does not run
     "gder-M1": (dict(GDER_PARAMS, M=1), TargetKind.GAUSSIAN_DERIVATIVE,
                 (0.0, 0.37, 3.3)),
+    # alpha and beta scaled by these factors, so that the expansion's real
+    # and imaginary parts are both nonzero and each node takes two Horner passes
+    "sinc-mixed": (SINC_PARAMS, TargetKind.RECT_SURROGATE, (0.0, 0.37, 2.5, -3.3, 6.2),
+                   (1 + 0.5j, 1 - 0.25j)),
 }
 
 
@@ -146,8 +151,11 @@ _EXPANSION_CASES = {
 def test_expansion_against_mpmath(case):
     # each damped term integrated in closed form at 40 digits; measured worst
     # 8.5e-14 (gauss-derivative), so 1e-12 leaves room for rounding alone
-    params, target, nus = _EXPANSION_CASES[case]
+    params, target, nus, *scales = _EXPANSION_CASES[case]
     coeffs = build_coefficients(params, target)
+    for alpha_scale, beta_scale in scales:
+        coeffs = dataclasses.replace(coeffs, alpha=coeffs.alpha * alpha_scale,
+                                     beta=coeffs.beta * beta_scale)
     p = coeffs.params
     worst = 0.0
     for nu in nus:

@@ -8,7 +8,9 @@ import pytest
 from ratfourier import (
     DirectionError,
     PoleError,
+    RangeError,
     ReferenceKind,
+    TargetKind,
     VoigtPoint,
     error_scan,
     voigt_quadrature,
@@ -18,6 +20,7 @@ from ratfourier import (
 from ratfourier import voigt as voigt_module
 
 import bruteforce
+from conftest import build_coefficients, coverage_preserving_gder
 
 
 def test_point_validation():
@@ -183,6 +186,26 @@ def test_residue_pole_where_the_bounds_vanish(gauss_forward_coeffs, sign):
         voigt_residue(gauss_forward_coeffs, p)
     with pytest.raises(PoleError):
         voigt_residue_complex(gauss_forward_coeffs, p)
+
+
+# measured edges: at y = 1 the refusal starts at x = 3.14866e152 (M = 6) and
+# 8.36938e151 (M = 10), at x = 0 at y = 8.98239e101 at both orders
+@pytest.mark.parametrize("M, below, above", [
+    (6, VoigtPoint(3.1486e152, 1.0), VoigtPoint(3.1487e152, 1.0)),
+    (10, VoigtPoint(-8.369e151, 1.0), VoigtPoint(-8.370e151, 1.0)),
+    (6, VoigtPoint(0.0, 8.982e101), VoigtPoint(0.0, 8.983e101)),
+    (10, VoigtPoint(0.0, 8.982e101), VoigtPoint(0.0, 8.983e101)),
+])
+def test_residue_refuses_past_its_overflow_edge(M, below, above):
+    # past the edge a denominator would overflow and drop terms or give NaN;
+    # below it the absolute bound holds against the far-wing asymptote
+    # K ~ y / (sqrt(pi) (x^2 + y^2)), whose own error there is below 1e-200
+    coeffs = build_coefficients(coverage_preserving_gder(M), TargetKind.GAUSSIAN)
+    wing = below.y / (math.sqrt(math.pi) * (below.x * below.x + below.y * below.y))
+    assert abs(voigt_residue(coeffs, below) - wing) <= 1.56e-11
+    for residue in (voigt_residue, voigt_residue_complex):
+        with pytest.raises(RangeError, match="too large"):
+            residue(coeffs, above)
 
 
 def test_quadrature_tolerance_floor():
