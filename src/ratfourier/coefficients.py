@@ -71,29 +71,41 @@ class CoefficientSet:
 def compute_coefficients(samples: SampleSet, direction: Direction = Direction.FORWARD) -> CoefficientSet:
     """Fold a damped sample set into expansion coefficients.
 
-    The real and imaginary sample rows are folded and transformed apart, in
-    O(N + 2^M M) time, which keeps the alpha of purely imaginary samples
-    purely imaginary.  Memory is O(N + 2^M): about 48 B per sample plus
-    about 98 B per slot of the 2^(M+1)-point fold, by tracemalloc 3.9 MB at
-    M=14, N=14,079, 62 MB at M=18, N=225,279 and 251 MB at M=20, N=999,999.  The fold and the rfft run in
-    longdouble and only the final alpha, beta are rounded to binary64: the
-    damped samples span many decades and the projections cancel, so a
-    binary64 transform leaves up to five times the error of one rounding.
-    A binary64 longdouble degrades the results gracefully to that.
+    Each nonzero part of the samples, real and imaginary, is folded and
+    transformed on its own and written into the same part of alpha and
+    beta; a part that is all zeros is skipped and leaves zeros.  So purely
+    real or purely imaginary samples, which every catalogue target gives,
+    take one transform, and the alpha of purely imaginary samples stays
+    purely imaginary.  Time is O(N + 2^M M) per nonzero part and memory
+    O(N + 2^M): by tracemalloc, 16 B per padded sample of the longdouble
+    row plus about 44 B per slot of the 2^(M+1)-point fold and transform.
+    The fold and the rfft run in longdouble and only the final alpha, beta
+    are rounded to binary64: the damped samples span many decades and the
+    projections cancel, so a binary64 transform leaves up to five times the
+    error of one rounding.  A binary64 longdouble degrades the results
+    gracefully to that.
     """
     params = samples.params
     ld = np.longdouble
     L = 2 ** (params.M + 1)
-    rows = np.zeros((2, -(-(params.N + 1) // L) * L), dtype=ld)
-    rows[:, :params.N + 1] = samples.values.real, samples.values.imag
-    folded = rows.reshape(2, -1, L).sum(axis=1)
-    # bin 2m-1 holds sum_n v_n (cos - i sin)(gamma_m n h); the 2^(1-M) scale is exact
-    u = np.fft.rfft(folded, axis=1)[:, 1::2] * ld(2.0) ** (1 - params.M)
     # the binary64 pi of gamma_grid, so beta_m carries the evaluator's gamma_m
     g = ld(np.pi) * np.arange(1, L // 2, 2, dtype=ld) / (ld(2.0) ** params.M * ld(params.h))
-    # adding 0.0 clears negative zeros, which a saved file would read back as +0
-    alpha = (u[0].real + 1j * u[1].real).astype(complex) + 0.0
-    beta = (-g * (u[0].imag + 1j * u[1].imag)).astype(complex) + 0.0
+    alpha = np.zeros(params.terms, dtype=complex)
+    beta = np.zeros(params.terms, dtype=complex)
+    # the zero padding past sample N is shared by both parts
+    row = np.zeros(-(-(params.N + 1) // L) * L, dtype=ld)
+    for part, alpha_part, beta_part in ((samples.values.real, alpha.real, beta.real),
+                                        (samples.values.imag, alpha.imag, beta.imag)):
+        if part.any():
+            row[:params.N + 1] = part
+            # bin 2m-1 holds sum_n v_n (cos - i sin)(gamma_m n h); the 2^(1-M) scale is exact
+            u = np.fft.rfft(row.reshape(-1, L).sum(axis=0))[1::2] * ld(2.0) ** (1 - params.M)
+            alpha_part[:] = u.real
+            beta_part[:] = -g * u.imag
+    # a sine bin of exactly zero gives beta = -g * 0 = -0; adding 0.0 clears
+    # such negative zeros, so every zero coefficient is +0, as a skipped part's
+    alpha += 0.0
+    beta += 0.0
     return CoefficientSet(
         params=params,
         direction=direction,

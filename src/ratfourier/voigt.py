@@ -30,7 +30,7 @@ _ROUNDING = 64 * sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class VoigtPoint:
-    """Finite dimensionless detuning x and damping y > 0."""
+    """Finite dimensionless detuning x and damping y > 0, stored as floats."""
 
     x: float
     y: float
@@ -40,6 +40,10 @@ class VoigtPoint:
             raise ValueError(f"x must be finite (got {self.x})")
         if not 0 < self.y < math.inf:
             raise ValueError(f"finite y > 0 violated (got {self.y})")
+        # a numpy scalar would take the residue's scalar arithmetic, and its
+        # overflow test, into numpy, which warns before the RangeError
+        object.__setattr__(self, "x", float(self.x))
+        object.__setattr__(self, "y", float(self.y))
 
 
 def _require_gaussian(coeffs):

@@ -1,15 +1,18 @@
 """Coefficient formation, the frequency grid, and the disk format."""
 
+import hashlib
 import json
 import math
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from ratfourier import (
     ApproxParams,
@@ -19,7 +22,9 @@ from ratfourier import (
     GridCoverageWarning,
     RangeError,
     ReferenceKind,
+    SampleSet,
     TargetKind,
+    compute_coefficients,
     error_scan,
     gamma_grid,
     load_coefficients,
@@ -30,7 +35,8 @@ from ratfourier.targets import MAX_SAMPLES
 
 import bruteforce
 from conftest import (
-    GDER_PARAMS, SINC_PARAMS, build_coefficients, coverage_preserving_gder,
+    GDER_PARAMS, SINC_PARAMS, build_coefficients, coverage_preserving,
+    coverage_preserving_gder,
 )
 
 
@@ -121,6 +127,83 @@ def test_alpha_sum_collapses_at_order_12():
     samples = sample_grid(TargetKind.GAUSSIAN_DERIVATIVE, coeffs.params)
     assert (abs(np.sum(coeffs.alpha) - samples.values[0])
             <= 1e-13 * np.max(np.abs(coeffs.alpha)))
+
+
+# sha256 of alpha.tobytes() + beta.tobytes(), taken with numpy 2.4 on x86-64
+# Linux, whose longdouble is 80-bit: one moved bit of a coefficient moves it.
+# Direction only tags a set, so a Gaussian's forward and inverse sets share one
+_COEFFICIENT_DIGESTS = {
+    ("gder", 6): "e5903c285b2c516c1be175add1d874a73962a7e3a801d197a204af8a56d4403a",
+    ("gder", 8): "bc0b36fe3d7a1969d9c21e25825ccd4ad718a92d8794722dc889d4c4f2c1c700",
+    ("gder", 10): "64faa5b08e5e5f59047219d1352ec5d99329bc5a95f75cd1a33796bf2831d7b9",
+    ("sinc", 6): "b223ff5890a2fb49b9d1dbae6fce58d29284a34794d962db3655bcd22c3dbbdb",
+    ("sinc", 8): "4f1d318ac55c4859176e0a3c48bbe41417be1062b49eac467aed26befa0014ff",
+    ("sinc", 10): "bb5bd4b09f690416c17a895a9d5e3773deae444258ab17bdd1c2765e87065ec3",
+    ("gauss", 6): "326bbfcc86e716b7ab6df878b4d96b87045c29affdc07ed009fff9f8bda1396d",
+    ("gauss", 8): "90df53d49984c47fb6f0a77033f6b1b279815fc9197ca881c545e8a9dcfe9fa6",
+    ("gauss", 10): "635d5ed835232193265cd27d29b8fc70c18749f5107766fae017f74bbde2206a",
+    ("two-part", 6): "ab24b0d3b5679edf27ffe5cabbfe0527dbaf6648aa42757dfecba33110d96242",
+    ("zero", 6): "5f70bf18a086007016e948b04aed3b82103a36bea41755b6cddfaf10ace3c6ef",
+}
+_DIGEST_SETS = {
+    "gder": (GDER_PARAMS, TargetKind.GAUSSIAN_DERIVATIVE),
+    "sinc": (SINC_PARAMS, TargetKind.RECT_SURROGATE),
+    "gauss": (GDER_PARAMS, TargetKind.GAUSSIAN),
+}
+
+
+def _digest(coeffs):
+    return hashlib.sha256(coeffs.alpha.tobytes() + coeffs.beta.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name, M, direction", [
+    *((name, M, Direction.FORWARD) for name in _DIGEST_SETS for M in (6, 8, 10)),
+    *(("gauss", M, Direction.INVERSE) for M in (6, 8, 10)),
+])
+def test_catalogue_coefficients_are_pinned(name, M, direction):
+    base, target = _DIGEST_SETS[name]
+    coeffs = build_coefficients(coverage_preserving(base, M), target, direction)
+    assert _digest(coeffs) == _COEFFICIENT_DIGESTS[name, M]
+
+
+def test_two_part_and_zero_coefficients_are_pinned():
+    params = ApproxParams(**GDER_PARAMS)
+    two_part = (sample_grid(TargetKind.GAUSSIAN, params).values
+                + (0.3 + 0.7j) * sample_grid(TargetKind.GAUSSIAN_DERIVATIVE, params).values)
+    for name, values in (("two-part", two_part), ("zero", np.zeros(params.N + 1, complex))):
+        samples = SampleSet(params=params, target=TargetKind.GAUSSIAN, values=values)
+        assert _digest(compute_coefficients(samples)) == _COEFFICIENT_DIGESTS[name, 6]
+
+
+@st.composite
+def _two_part_samples(draw):
+    M = draw(st.integers(1, 8))
+    N = draw(st.integers(0, 100))
+    # a = 0: the grid covers the target whatever N is, so nothing warns
+    params = ApproxParams(a=0.0, M=M, N=N, h=0.1, sigma=1.0)
+    parts = draw(hnp.arrays(np.float64, 2 * (N + 1), elements=st.one_of(
+        st.floats(-1e6, 1e6), st.sampled_from([0.0, -0.0]))))
+    return SampleSet(params=params, target=TargetKind.GAUSSIAN, values=parts.view(complex))
+
+
+_ONE_SAMPLE = SampleSet(params=ApproxParams(a=0.0, M=3, N=0, h=0.1, sigma=1.0),
+                        target=TargetKind.GAUSSIAN, values=np.array([1.0 - 2.0j]))
+
+
+@given(_two_part_samples())
+@example(_ONE_SAMPLE)
+def test_each_sample_part_gives_its_own_coefficient_part(samples):
+    # the real samples alone give the real parts of alpha and beta, bit for
+    # bit, and the imaginary samples the imaginary parts; a one-sample set
+    # has sine bins of exactly zero, which must not come out as -0
+    both = compute_coefficients(samples)
+    alone = [compute_coefficients(replace(samples, values=values)) for values in
+             (samples.values.real.astype(complex), 1j * samples.values.imag)]
+    for name in ("alpha", "beta"):
+        got = getattr(both, name)
+        assert got.real.tobytes() == getattr(alone[0], name).real.tobytes()
+        assert got.imag.tobytes() == getattr(alone[1], name).imag.tobytes()
+        assert not np.signbit(got.view(float)[got.view(float) == 0]).any()
 
 
 def test_direction_is_recorded():
