@@ -269,7 +269,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(["scan", "--preset", "sinc"])
     try:
         return _HANDLERS[args.command](args)
-    except (ValueError, OverflowError) as exc:
+    # an OSError is an --out path that cannot be written, an invalid argument
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ArithmeticError, ConvergenceError) as exc:

@@ -31,12 +31,8 @@ DENOM_FLOOR (the factor covers rounding) or is NaN.  At real x that takes
 sigma = 0, which makes every point fall short; a complex-x call with one
 point near the line Re s = 0 tests every block.  The guard only decides
 whether to raise, so it changes no value, and it raises on the same inputs
-as testing every term.  A 1000-point error_scan of the coverage-preserving
-gauss-derivative sets, whose real grid skips every full test, took
-0.30 / 0.96 / 3.6 / 13 / 39 ms at M = 6 / 8 / 10 / 12 (N=3520) /
-14 (N=2000); testing every term it took 0.35 / 1.21 / 4.5 / 17 / 51 ms.
-Each is the median of three alternating runs of the fastest of 20 scans
-(5 at M >= 12) on one core of a 2-core Intel Xeon VM.
+as testing every term.  A scan costs O(points x terms) time;
+perfbench/run.py records the measured times.
 """
 
 import math

@@ -22,8 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-# MAX_ORDER lives in errors with its guard; it stays importable from here
-from .errors import MAX_ORDER, RangeError, check_order
+from .errors import RangeError, check_order
 
 _LOG_MAX = math.log(sys.float_info.max)  # ~709.78, binary64 overflow threshold
 # the most samples N + 1 a run may take, set by memory, not time: at its
@@ -71,7 +70,7 @@ class ApproxParams:
     sigma real numbers, not bools, and each must be finite and within the
     double range; a violation raises ValueError naming the field.  Each
     is stored as its field's type, int or float.  M must lie in
-    1..MAX_ORDER and N + 1 must not exceed MAX_SAMPLES; those two raise
+    1..errors.MAX_ORDER and N + 1 must not exceed MAX_SAMPLES; those two raise
     RangeError, a ValueError.
     """
 

@@ -11,7 +11,6 @@ voigt_quadrature, an independent adaptive integration of the defining
 integral.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -155,11 +154,9 @@ def voigt_residue(coeffs: CoefficientSet, p: VoigtPoint) -> float:
     so near the peak the method's floor rules.  Correctly rounded
     coefficients give the same figures.
 
-    Cost per point is O(2^M): about 12-13 us at M=6 and 62-64 us at M=10
-    on one core of a 2-core Intel Xeon VM (mean over 1000 x in
-    [-2 pi, 2 pi] at y = 1 and 1e-4, fastest of 5 sweeps, three runs).  The
-    point-free factors of the sum are formed on a set's first call and kept
-    on the set.  At M=10 the exactly rounded math.fsum over the
+    Cost per point is O(2^M); perfbench/run.py records the measured times.
+    The point-free factors of the sum are formed on a set's first call and
+    kept on the set.  At M=10 the exactly rounded math.fsum over the
     3 * 2^(M-1) terms is about 60% of the time.  The first two pole
     families share one denominator array, g (4 pi^2 (x^2 + y^2) + 4 pi x c
     + c^2).  check_denominator gets a lower bound with each family's array
@@ -183,17 +180,6 @@ def voigt_residue(coeffs: CoefficientSet, p: VoigtPoint) -> float:
     return -(math.tau * p.y) * math.fsum(_residue_terms(coeffs, p).imag.tolist())
 
 
-@functools.lru_cache(maxsize=128)
-def _gaussian_cutoff(y: float, bound: float) -> float:
-    # smallest integer L whose truncated mass min(erfc(L)/(y sqrt(pi)),
-    # e^(-L^2)) drops below bound; whatever y is, the e^(-L^2) term meets
-    # the smallest bound voigt_quadrature passes, 1e-16, by L = 7
-    L = 1
-    while min(math.erfc(L) / (y * math.sqrt(math.pi)), math.exp(-float(L * L))) > bound:
-        L += 1
-    return float(L)
-
-
 def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
     """Adaptive integration of the defining Voigt integral to tolerance tol.
 
@@ -205,16 +191,20 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
     reference and wofz is the quadrature's.  At y = 1, 0.1 and 0.01 the
     worst errors are 5.6e-17, 1.1e-16 and 3.9e-16.
 
-    tol is absolute only: where K(x, y) < tol the result has no relative
-    accuracy.  At x = 0 and y = 1e100 the cutoff falls to L = 1 and the
-    result is erf(1) K = 4.754e-101 against K = 1/(sqrt(pi) y) = 5.642e-101,
-    16% low.
+    The integral is truncated to [-L, L], L the smallest integer with
+    e^(-L^2) <= tol/10.  Outside that interval the Gaussian factor is at
+    most e^(-L^2) and the Lorentzian has unit mass, so the truncated mass is
+    at most tol/10 for every x and every y > 0.  tol is absolute only, so
+    where K(x, y) < tol, as at small y and large |x|, relative accuracy is
+    not guaranteed.
     """
     check_tol(tol)
     x, y = p.x, p.y
-    # truncation: outside [-L, L] the integrand is bounded by both
-    # e^(-tau^2)/y^2 (Gaussian tail) and e^(-L^2) times the Lorentzian mass
-    L = _gaussian_cutoff(y, tol / 10.0)
+    # truncation: outside [-L, L] the integrand is at most e^(-L^2) times the
+    # unit-mass Lorentzian
+    L = 1.0
+    while math.exp(-L * L) > tol / 10.0:
+        L += 1.0
 
     def integrand(tau):
         return (y / math.pi) * np.exp(-tau * tau) / (y * y + (x - tau) ** 2)

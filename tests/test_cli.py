@@ -51,6 +51,18 @@ def test_oversized_sample_count_is_refused(tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["coeffs", "--preset", "sinc", "--out", "no-such-dir/x.json"],
+    ["scan", "--preset", "sinc", "--out", "."],
+    ["voigt", "--y", "1", "--n", "2", "--out", "no-such-dir/v.csv"],
+])
+def test_unwritable_out_is_refused(argv, tmp_path, monkeypatch, capsys):
+    # a missing directory or a directory itself is an invalid --out, exit 2
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_preset_and_explicit_flags_conflict(tmp_path, capsys):
     path = tmp_path / "c.json"
     rc = main(["coeffs", "--preset", "sinc", "--a", "1.0", "--out", str(path)])
@@ -231,6 +243,14 @@ def test_voigt_curve_file(tmp_path, capsys):
     assert len(lines) == 6
     diffs = [float(line.split(",")[3]) for line in lines[1:]]
     assert _value_of(_lines(capsys)[-1]) == max(diffs)
+    # at y = 1e100, K(0, y) = 1/(sqrt(pi) y) is far below tol, and the
+    # reference keeps its relative accuracy: its cutoff does not depend on y
+    from scipy.special import wofz
+
+    assert main(["voigt", "--y", "1e100", "--lo", "0", "--hi", "0", "--n", "1",
+                 "--out", str(path)]) == 0
+    ref = float(path.read_text().splitlines()[1].split(",")[2])
+    assert abs(ref - wofz(1e100j).real) <= 4.4e-16 * wofz(1e100j).real
 
 
 def test_voigt_explicit_parameters(capsys):

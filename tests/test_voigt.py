@@ -142,6 +142,35 @@ def test_small_y_quadrature_takes_few_rounds(monkeypatch):
     assert [result.rounds for _, result in runs] == [c - 1 for c in calls]
 
 
+@pytest.mark.parametrize("tol, L", [(1e-14, 6.0), (1e-15, 7.0)])
+def test_quadrature_cutoff_is_the_gaussian_envelope(tol, L, monkeypatch):
+    # [-L, L] with L the smallest integer where e^(-L^2) <= tol/10, whatever y
+    integrate = voigt_module.integrate
+    limits = []
+
+    def spy(f, lo, hi, *args, **kwargs):
+        limits.append((lo, hi))
+        return integrate(f, lo, hi, *args, **kwargs)
+
+    monkeypatch.setattr(voigt_module, "integrate", spy)
+    for y in (1e-4, 0.01, 0.1, 1.0, 100.0, 1e100):
+        voigt_quadrature(VoigtPoint(0.5, y), tol)
+    assert limits == [(-L, L)] * 6
+
+
+@pytest.mark.parametrize("y", [1e3, 1e5, 1e10, 1e50, 1e100, 1e150])
+def test_quadrature_is_relative_at_huge_y(y):
+    # K < tol here, yet the Lorentzian is flat across [-L, L], so the
+    # truncated share of K is about erfc(6) = 2.2e-17.  wofz (within 2.2e-16
+    # of 1/(sqrt(pi) y) from y = 1e10 up) is the reference; 40-digit mpmath
+    # cancels in e^(-z^2) erfc(-iz) at these y
+    from scipy.special import wofz
+
+    for x in (0.0, 3.0, 50.0):
+        exact = wofz(x + 1j * y).real
+        assert abs(voigt_quadrature(VoigtPoint(x, y), 1e-14) - exact) <= 4.4e-16 * exact
+
+
 def test_far_wing_asymptote():
     x = 1e6
     value = voigt_quadrature(VoigtPoint(x, 1.0), 1e-14)
