@@ -73,28 +73,29 @@ def _add_setup_flags(sub):
     sub.add_argument("--direction", choices=[d.value for d in Direction])
 
 
-def _given_setup(args):
-    """{name: value} of the setup flags given."""
-    return {n: getattr(args, n) for n in _SETUP_FLAGS if getattr(args, n, None) is not None}
+def _coefficients(args, fallback=None):
+    """The CoefficientSet the flags name: scan --coeffs loads it, the rest build it.
 
-
-def _resolve_setup(args, fallback=None):
-    """Turn the setup flags into (params, target, direction).
-
-    With no setup flag given, the setup is the forward one of the `fallback`
-    (fields, target) binding, or else of --preset (sinc, with a warning,
-    when there is none).  With any given, the setup is explicit: --preset is
-    refused first, then every ApproxParams field without a default and
-    --target are required.  voigt has no --target and takes the fallback's.
+    --coeffs refuses --preset and every setup flag.  With no setup flag
+    given, the setup is the forward one of the `fallback` (fields, target)
+    binding, or else of --preset (sinc, with a warning, when there is none).
+    With any given, it is explicit: --preset is refused first, then every
+    ApproxParams field without a default and --target are required.  voigt
+    has no --target and takes the fallback's.
     """
-    given = _given_setup(args)
+    given = {n: getattr(args, n) for n in _SETUP_FLAGS if getattr(args, n, None) is not None}
     preset = getattr(args, "preset", None)
+    if getattr(args, "coeffs", None) is not None:
+        if preset is not None or given:
+            raise ValueError("--coeffs excludes --preset and explicit parameter flags")
+        return load_coefficients(args.coeffs)
     binding, target = fallback or _PRESET_BINDINGS[preset or "sinc"]
     if not given:
         if fallback is None and preset is None:
             print("warning: missing input parameters; defaulting to the sinc preset")
-        return ApproxParams(**binding), target, Direction.FORWARD
-    if preset is not None:
+        # a binding is complete, so it passes the check below
+        given = dict(binding, target=target)
+    elif preset is not None:
         raise ValueError("--preset and explicit parameter flags are mutually exclusive")
     required = [f.name for f in _REQUIRED_FIELDS] + ["target"]
     missing = [n for n in required if n not in given and hasattr(args, n)]
@@ -102,14 +103,7 @@ def _resolve_setup(args, fallback=None):
         raise ValueError(f"explicit parameters require {', '.join('--' + n for n in missing)}")
     target = TargetKind(given.pop("target", target))
     direction = Direction(given.pop("direction", Direction.FORWARD))
-    return ApproxParams(**given), target, direction
-
-
-def _echo_params(params, target, direction):
-    print(" ".join((
-        *(f"{name}={text}" for name, text in _param_text(params)),
-        f"direction={direction.value}", f"target={target.value}",
-    )))
+    return compute_coefficients(sample_grid(target, ApproxParams(**given)), direction)
 
 
 def _report_sweep(max_abs_diff) -> int:
@@ -119,25 +113,20 @@ def _report_sweep(max_abs_diff) -> int:
 
 
 def cmd_coeffs(args) -> int:
-    params, target, direction = _resolve_setup(args)
     if args.out is None:
         raise ValueError("coeffs requires --out <path>")
-    coeffs = compute_coefficients(sample_grid(target, params), direction)
+    coeffs = _coefficients(args)
     save_coefficients(coeffs, args.out)
-    _echo_params(params, target, direction)
-    print(f"terms={params.terms}")
+    print(" ".join((
+        *(f"{name}={text}" for name, text in _param_text(coeffs.params)),
+        f"direction={coeffs.direction.value}", f"target={coeffs.target.value}",
+    )))
+    print(f"terms={coeffs.params.terms}")
     return EXIT_OK
 
 
 def cmd_scan(args) -> int:
-    if args.coeffs is not None:
-        if args.preset is not None or _given_setup(args):
-            raise ValueError("--coeffs excludes --preset and explicit parameter flags")
-        coeffs = load_coefficients(args.coeffs)
-    else:
-        params, target, direction = _resolve_setup(args)
-        coeffs = compute_coefficients(sample_grid(target, params), direction)
-
+    coeffs = _coefficients(args)
     ref = _REFERENCES.get((coeffs.target, coeffs.direction))
     if ref is None:
         raise ValueError(
@@ -177,16 +166,14 @@ def cmd_voigt(args) -> int:
         check_interval(args.lo, args.hi)
     elif args.n != 1:
         raise ValueError("lo == hi needs n=1")
-    params, target, direction = _resolve_setup(args, _VOIGT_BINDING)
-    coeffs = compute_coefficients(sample_grid(target, params), direction)
+    coeffs = _coefficients(args, _VOIGT_BINDING)
 
-    xs = np.linspace(args.lo, args.hi, args.n)
     rows = []
-    for x in xs:
-        point = VoigtPoint(float(x), args.y)
+    for x in np.linspace(args.lo, args.hi, args.n):
+        point = VoigtPoint(x, args.y)
         approx = voigt_residue(coeffs, point)
         ref = voigt_quadrature(point, args.tol)
-        rows.append((float(x), approx, ref, abs(approx - ref)))
+        rows.append((point.x, approx, ref, abs(approx - ref)))
     if args.out is not None:
         _write_csv(args.out, "x,voigt_approx,voigt_ref,abs_diff", rows)
     # np.max, unlike max(), lets a NaN difference through

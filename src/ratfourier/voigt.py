@@ -141,7 +141,10 @@ def voigt_residue(coeffs: CoefficientSet, p: VoigtPoint) -> float:
     worst absolute error on 251 x in [-2 pi, 2 pi] is 4.4e-16, 8.1e-13,
     1.07e-11 and 1.47e-11 at y = 1, 0.1, 0.01 and 1e-4.  Small y removes
     the smoothing, so the error approaches the bound; it does not break the
-    sum.
+    sum.  That bound is the M=6 preset's, not the method's: at M = 9 and
+    sigma = 1 (a, N and h kept) the same errors are 2.78e-16, 6.11e-16,
+    6.66e-16 and 5.55e-16.  Near the pole line y = sigma/(2 pi) every set
+    loses accuracy: on it, 2.9e-12 at M = 9 and 7e-13 at the preset.
 
     The relative errors follow from the bound and the size of K: 1.6e-14,
     2.3e-11, 9.4e-10 and 9.0e-8 on the same grid, and on 2001 x in [0, 100]
@@ -197,6 +200,10 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
     at most tol/10 for every x and every y > 0.  tol is absolute only, so
     where K(x, y) < tol, as at small y and large |x|, relative accuracy is
     not guaranteed.
+
+    Domain: RangeError where y^2 + (|x| + L)^2, a bound on every
+    denominator, overflows: from y or |x| = 1.3408e154 at x = 0 or y = 1.
+    The residue sum's edge lies inside this one.
     """
     check_tol(tol)
     x, y = p.x, p.y
@@ -205,6 +212,10 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
     L = 1.0
     while math.exp(-L * L) > tol / 10.0:
         L += 1.0
+    # |x - tau| <= |x| + L bounds every denominator; d * d gives inf where ** raises
+    d = abs(x) + L
+    if not math.isfinite(y * y + d * d):
+        raise RangeError(f"|x| or y too large for the quadrature reference (got x={x}, y={y})")
 
     def integrand(tau):
         return (y / math.pi) * np.exp(-tau * tau) / (y * y + (x - tau) ** 2)

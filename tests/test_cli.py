@@ -42,6 +42,28 @@ def test_coeffs_requires_out(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("flags", [[], ["--preset", "sinc", "--a", "1"]])
+def test_coeffs_checks_out_before_the_setup(flags, capsys):
+    # no sinc-preset warning and no conflict is reported before the missing --out
+    assert main(["coeffs", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: coeffs requires --out")
+
+
+@pytest.mark.parametrize("flags, echo", [
+    (["--preset", "sinc"],
+     "a=0.59999999999999998 M=6 N=28 h=0.040000000000000001 sigma=2.7000000000000002 "
+     "k=35 direction=forward target=rect-surrogate"),
+    (["--a", "2", "--M", "8", "--N", "55", "--h", "0.078", "--sigma", "2",
+      "--target", "gauss", "--direction", "inverse"],
+     "a=2 M=8 N=55 h=0.078 sigma=2 k=35 direction=inverse target=gauss"),
+])
+def test_coeffs_echo_line_is_pinned(flags, echo, tmp_path, capsys):
+    assert main(["coeffs", *flags, "--out", str(tmp_path / "c.json")]) == 0
+    assert _lines(capsys)[-2] == echo
+
+
 def test_oversized_sample_count_is_refused(tmp_path, capsys):
     # refused by ApproxParams, before sample_grid would allocate 48 B per sample
     path = tmp_path / "over.json"

@@ -171,6 +171,19 @@ def test_quadrature_is_relative_at_huge_y(y):
         assert abs(voigt_quadrature(VoigtPoint(x, y), 1e-14) - exact) <= 4.4e-16 * exact
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quadrature_refuses_past_its_overflow_edge():
+    # y^2 + (|x| + L)^2 overflows from y or |x| = 1.3408e154 at x = 0 or
+    # y = 1; past it every node would be 0 (and x^2 would warn in numpy)
+    for p in (VoigtPoint(0.0, 1.35e154), VoigtPoint(0.0, 1e300), VoigtPoint(1e155, 1.0)):
+        with pytest.raises(RangeError, match="too large"):
+            voigt_quadrature(p, 1e-14)
+    from scipy.special import wofz
+
+    exact = wofz(1.34e154j).real
+    assert abs(voigt_quadrature(VoigtPoint(0.0, 1.34e154), 1e-14) - exact) <= 4.4e-16 * exact
+
+
 def test_far_wing_asymptote():
     x = 1e6
     value = voigt_quadrature(VoigtPoint(x, 1.0), 1e-14)
