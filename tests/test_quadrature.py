@@ -2,12 +2,17 @@
 
 import math
 import tracemalloc
+from bisect import bisect_right
+from itertools import accumulate
+from operator import itemgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratfourier import ConvergenceError, quadrature
-from ratfourier.quadrature import _XK, integrate
+from ratfourier.quadrature import _GAUSS_SLOTS, _WG, _WK, _XK, integrate
 
 
 def test_polynomial_is_exact_on_one_panel():
@@ -89,6 +94,33 @@ def test_a_round_bisects_the_panels_outside_the_kept_prefix():
     assert len(batches) == 2
     expected = np.concatenate([_nodes_of(np.array([i, i + 0.5, i + 1.0])) for i in split])
     assert np.array_equal(batches[1].reshape(-1, 15), expected)
+
+
+def test_a_round_keeps_earlier_records_ahead_of_tied_halves():
+    # spikes at points the rule hits exactly: the centres of the unit panels
+    # of [0, 4] and of the halves [1, 1.5] and [2, 2.5].  A spike of
+    # amplitude a at the centre of a panel of half-width h gives an estimate
+    # proportional to a*h, exactly for powers of two, so the panel [0, 1]
+    # (a = 1, h = 1/2) and the half [1, 1.5] (a = 2, h = 1/4) tie exactly
+    spikes = {0.5: 1.0, 1.5: 8.0, 2.5: 8.0, 3.5: 8.0, 1.25: 2.0, 2.25: 16.0}
+    batches = []
+
+    def f(t):
+        batches.append(t.copy())
+        out = np.zeros_like(t)
+        for point, amp in spikes.items():
+            out[t == point] = amp
+        return out
+
+    unit = integrate(lambda t: np.where(t == 0.5, 1.0, 0.0), 0.0, 1.0, tol=1.0).err_est
+    # with tol/2 = 1.5 units the first round keeps [0, 1] and bisects the
+    # rest; the second sees [0, 1] and [1, 1.5] tied at one unit with room
+    # for one of them.  The record kept earlier wins, as in one stable sort
+    # of one list, so [1, 1.5] and [2, 2.5] are bisected
+    result = integrate(f, 0.0, 4.0, tol=3.0 * unit, max_width=1.0)
+    assert result.rounds == 2 and len(batches) == 3
+    expected = np.concatenate([_nodes_of(np.array([a, a + 0.25, a + 0.5])) for a in (1.0, 2.0)])
+    assert np.array_equal(batches[2].reshape(-1, 15), expected)
 
 
 def test_breakpoint_at_a_kink():
@@ -199,3 +231,152 @@ def test_tolerance_outside_the_engine_range_is_refused(tol):
 def test_non_positive_width_cap_is_refused(max_width):
     with pytest.raises(ValueError, match="max_width > 0"):
         integrate(np.cos, 0.0, 10.0, tol=1e-10, max_width=max_width)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_estimate_is_refused(bad):
+    # nan > tol is false: unchecked, a nan estimate ended the loop as if tol
+    # were met and returned value nan or inf with err_est nan.  An inf at the
+    # Gauss nodes gives inf - inf = nan in the estimate, hence the errstate
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ConvergenceError, match=r"non-finite error estimate nan \(tol 1.000e-10\)"):
+        integrate(lambda t: np.where(t > 0.5, bad, 1.0), 0.0, 1.0, 1e-10)
+
+
+def _reference_integrate(f, lo, hi, tol, breakpoints=(), max_width=math.inf):
+    """The engine with one (err, value, left, right) record per panel.
+
+    The bookkeeping `integrate` had before it carried panels in edge lists
+    and arrays: every batch comes back as a list of records, and a round
+    sorts the whole list, keeps its prefix and puts the halves' records in
+    place of the rest.  `integrate` must return the same bits.  The
+    module's constants are read at call time, so a monkeypatched
+    _MAX_PANELS applies to both.
+    """
+    estimate = itemgetter(0)
+
+    def eval_panels(edges):
+        mid = np.array([0.5 * (left + right) for left, right in edges])
+        half = np.array([0.5 * (right - left) for left, right in edges])
+        nodes = mid[:, None] + half[:, None] * _XK[None, :]
+        fv = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+        resk = (fv @ _WK) * half
+        resg = (fv[:, _GAUSS_SLOTS] @ _WG) * half
+        return [(err, value, left, right) for err, value, (left, right)
+                in zip(np.abs(resk - resg).tolist(), resk.tolist(), edges)]
+
+    pts = ([float(lo)] + sorted(float(p) for p in set(breakpoints) if lo < p < hi)
+           + [float(hi)])
+    segments = list(zip(pts, pts[1:]))
+    ratios = [(right - left) / max_width for left, right in segments]
+    counts = [max(1, math.ceil(r)) if r < math.inf else r for r in ratios]
+    if sum(counts) > quadrature._MAX_PANELS:
+        raise ConvergenceError(f"initial subdivision needs {sum(counts):.7g} panels, "
+                               f"budget is {quadrature._MAX_PANELS}")
+    edges = []
+    for (left, right), nsub in zip(segments, counts):
+        step = (right - left) / nsub
+        cuts = [left + i * step for i in range(nsub)] + [right]
+        edges.extend(zip(cuts, cuts[1:]))
+
+    panels = eval_panels(edges)
+    total_err = math.fsum(map(estimate, panels))
+    rounds = 0
+    while total_err > tol:
+        panels.sort(key=estimate)
+        cut = bisect_right(list(accumulate(map(estimate, panels))), 0.5 * tol)
+        if 2 * len(panels) - cut > quadrature._MAX_PANELS:
+            raise ConvergenceError(f"panel budget {quadrature._MAX_PANELS} exhausted "
+                                   f"(error estimate {total_err:.3e}, tol {tol:.3e})")
+        halves = []
+        for err, _, left, right in panels[cut:]:
+            if (err <= 0.0 or right - left
+                    < quadrature._ROUNDING_FLOOR * max(abs(left), abs(right), 1.0)):
+                raise ConvergenceError(
+                    f"panel refinement hit the rounding floor at estimate {total_err:.3e} "
+                    f"(tol {tol:.3e})")
+            midpoint = 0.5 * (left + right)
+            halves += ((left, midpoint), (midpoint, right))
+        panels[cut:] = eval_panels(halves)
+        total_err = math.fsum(map(estimate, panels))
+        rounds += 1
+    value = complex(math.fsum(p[1].real for p in panels), math.fsum(p[1].imag for p in panels))
+    return quadrature.QuadratureResult(value, total_err, len(panels), rounds)
+
+
+def _outcome(engine, *args, **kwargs):
+    # the bits of a result, or the message of the ConvergenceError raised
+    try:
+        r = engine(*args, **kwargs)
+    except ConvergenceError as exc:
+        return "ConvergenceError", str(exc)
+    return r.value.real.hex(), r.value.imag.hex(), r.err_est.hex(), r.panels, r.rounds
+
+
+_INTEGRANDS = {
+    "polynomial": lambda t: 3.0 * t ** 7 - t ** 2 + 0.5,
+    "kinked": lambda t: np.abs(t - 0.3) + np.sqrt(np.abs(t + 0.7)),
+    "oscillatory": lambda t: np.cos(30.0 * t) * np.exp(-0.2 * t * t),
+}
+
+
+@st.composite
+def _integrals(draw):
+    name = draw(st.sampled_from(sorted(_INTEGRANDS)))
+    f = _INTEGRANDS[name]
+    if draw(st.booleans()):
+        real_f = f
+        f = lambda t: real_f(t) * np.exp(2j * t)  # noqa: E731
+    lo = draw(st.floats(-3.0, 0.0))
+    hi = lo + draw(st.floats(0.1, 4.0))
+    # breakpoints inside and outside [lo, hi], on its ends and repeated
+    inside = draw(st.lists(st.floats(lo - 1.0, hi + 1.0), max_size=6))
+    breakpoints = inside + draw(st.sampled_from([[], [lo, hi], inside[:2]]))
+    max_width = draw(st.sampled_from([math.inf, 2.0, 0.5, 0.3, 0.07]))
+    if name == "oscillatory":
+        # an uncapped panel can miss the oscillation in its estimate
+        max_width = min(max_width, 0.3)
+    tol = draw(st.sampled_from([1e-4, 1e-8, 1e-11, 1e-13]))
+    return f, lo, hi, tol, breakpoints, max_width
+
+
+@settings(max_examples=80)
+@given(_integrals())
+def test_bits_match_the_record_per_panel_engine(case):
+    f, lo, hi, tol, breakpoints, max_width = case
+    assert (_outcome(integrate, f, lo, hi, tol, breakpoints, max_width)
+            == _outcome(_reference_integrate, f, lo, hi, tol, breakpoints, max_width))
+
+
+@pytest.mark.parametrize("max_panels, f, lo, hi, tol, kwargs", [
+    # the initial subdivision over budget
+    (5, np.cos, 0.0, 10.0, 1e-6, dict(max_width=1.0)),
+    # the first round over budget, then a later one
+    (11, lambda t: np.cos(200.0 * t * t), 0.0, 10.0, 1e-13, dict(max_width=1.0)),
+    (40, lambda t: np.cos(200.0 * t * t), 0.0, 10.0, 1e-13, dict(max_width=1.0)),
+    (200, lambda t: 1.0 / np.abs(t - 1.0 / 3.0), 0.0, 1.0, 1e-6, {}),
+    # the same pole within the default budget: the rounding floor
+    (10**6, lambda t: 1.0 / np.abs(t - 1.0 / 3.0), 0.0, 1.0, 1e-6, {}),
+])
+def test_convergence_errors_match_the_record_per_panel_engine(
+        max_panels, f, lo, hi, tol, kwargs, monkeypatch):
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", max_panels)
+    outcome = _outcome(integrate, f, lo, hi, tol, **kwargs)
+    assert outcome[0] == "ConvergenceError"
+    assert outcome == _outcome(_reference_integrate, f, lo, hi, tol, **kwargs)
+
+
+def test_an_infinite_estimate_is_refined():
+    # |t - x0|^(-1/2) is inf at x0, the first Kronrod node of [0, 1], which
+    # the 7-point Gauss rule skips: the first estimate is inf, not nan, and
+    # the rounds that bisect its panel resolve the integrable singularity
+    x0 = 0.5 + 0.5 * float(_XK[0])
+
+    def f(t):
+        with np.errstate(divide="ignore"):
+            return np.abs(t - x0) ** -0.5
+
+    result = integrate(f, 0.0, 1.0, 1e-4)
+    assert result.rounds > 0
+    assert abs(result.value - 2.0 * (math.sqrt(x0) + math.sqrt(1.0 - x0))) < 1e-3
+    assert _outcome(integrate, f, 0.0, 1.0, 1e-4) == _outcome(_reference_integrate, f, 0.0, 1.0, 1e-4)
