@@ -29,13 +29,7 @@ them by estimate (stably, so tied panels keep their order), keeps the
 prefix and sends the halves of the rest out as two edge lists.  Exactly
 rounded math.fsum sums the estimates and, at the end, the real and the
 imaginary parts of the kept values.  A call that meets tol on its first
-batch builds no record at all.  One pass of the benchmark (perfbench,
-seed 1) makes 1,075 calls in its presets workload: 1,016
-voigt_quadrature points at tol 1e-14 end after 0, 1, 2 and 3 rounds 365,
-253, 329 and 69 times, all 48 damped_expansion_quadrature calls and 10
-of 11 fourier_forward_quadrature calls end on the first batch, and one
-takes two rounds.  Its high-order workload makes 1,000 voigt_quadrature
-calls at y = 1, ending after 0, 1 and 2 rounds 240, 476 and 284 times.
+batch builds no record at all.
 """
 
 import math
@@ -108,11 +102,8 @@ def _initial_edges(lo, hi, breakpoints, max_width):
     # the panels tile [lo, hi], so one list of cuts holds both edge lists
     cuts = []
     for left, right, nsub in zip(pts, pts[1:], counts):
-        if nsub == 1:
-            cuts.append(left)
-        else:
-            step = (right - left) / nsub
-            cuts += [left + i * step for i in range(nsub)]
+        step = (right - left) / nsub
+        cuts += [left + i * step for i in range(nsub)]
     cuts.append(pts[-1])
     return cuts[:-1], cuts[1:]
 
