@@ -183,6 +183,23 @@ def voigt_residue(coeffs: CoefficientSet, p: VoigtPoint) -> float:
     return -(math.tau * p.y) * math.fsum(_residue_terms(coeffs, p).imag.tolist())
 
 
+def _mesh(tol, y):
+    """The truncation L and the initial panel cap of voigt_quadrature.
+
+    L is the smallest integer >= 1 with e^(-L^2) <= tol/10 (see
+    voigt_quadrature for both).  sqrt(-ln(tol/10)) rounded to the nearest
+    integer is L or L - 1, so one test of that inequality settles it.
+    """
+    t = tol / 10.0
+    L = max(1.0, float(round(math.sqrt(max(0.0, -math.log(t))))))
+    if math.exp(-L * L) > t:
+        L += 1.0
+    cap = 1.0
+    if y >= 0.4:
+        cap = min(cap, min(0.4 * y, 0.6) * (tol / 1e-14) ** (1.0 / 15.0))
+    return L, cap
+
+
 def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
     """Adaptive integration of the defining Voigt integral to tolerance tol.
 
@@ -201,17 +218,33 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
     where K(x, y) < tol, as at small y and large |x|, relative accuracy is
     not guaranteed.
 
+    The initial panels are at most min(0.4 y, 0.6) (tol/1e-14)^(1/15) wide,
+    or 1 wide where that exceeds 1 or y < 0.4.  Width 1 is too wide where
+    the Lorentzian is wide: at tol 1e-14, of 251 x in [-2 pi, 2 pi], none
+    meets tol on its first batch at y = 2 and 60 do at y = 1, so the rest
+    pay for a round.  Two parts of the integrand need narrower panels.  The
+    Gaussian factor needs width 0.7 at y = 2, and less than 1 up to y of
+    about 50.  The innermost panels of the breakpoint cascade, width y with
+    the pole x + iy over one end, need cutting in three.  The 7/15 estimate
+    of a smooth panel falls as its width to the 15th power, hence the
+    exponent.  With the cap, every point from y = 0.4 to 200 at tol 1e-12
+    to 1e-14 meets tol on its first batch (431 x in [-9, 9] and
+    [-2 pi, 2 pi], and x = +-7 and +-50); at tol 1e-15 a few points near
+    y = 1.4 still take a round.  Below y = 0.4 the cap would add panels
+    across all of [-L, L] that cost more than the round bisecting the few
+    innermost ones, so there the panels, and the results, are those of
+    width 1.  Where width 1 would pass already or nearly, as from y = 60
+    at tol 1e-14 or at y = 0.4 to 1 from tol 1e-10, the cap adds panels
+    but saves few rounds or none.
+    perfbench/run.py records the times.
+
     Domain: RangeError where y^2 + (|x| + L)^2, a bound on every
     denominator, overflows: from y or |x| = 1.3408e154 at x = 0 or y = 1.
     The residue sum's edge lies inside this one.
     """
     check_tol(tol)
     x, y = p.x, p.y
-    # truncation: outside [-L, L] the integrand is at most e^(-L^2) times the
-    # unit-mass Lorentzian
-    L = 1.0
-    while math.exp(-L * L) > tol / 10.0:
-        L += 1.0
+    L, max_width = _mesh(tol, y)
     # |x - tau| <= |x| + L bounds every denominator; d * d gives inf where ** raises
     d = abs(x) + L
     if not math.isfinite(y * y + d * d):
@@ -227,5 +260,6 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
             breakpoints.extend((x - width, x + width))
             width *= 3.0
         breakpoints.append(x)
-    value = integrate(integrand, -L, L, tol, breakpoints=breakpoints, max_width=1.0).value
+    value = integrate(integrand, -L, L, tol, breakpoints=breakpoints,
+                      max_width=max_width).value
     return value.real

@@ -105,9 +105,12 @@ def test_quadrature_frozen_values():
 # measured worst |quadrature - mpmath| on this grid: 5.6e-17, 1.1e-16, 3.9e-16,
 # 2.6e-14 (one panel at a time, before the rounds: 5.6e-17, 2.2e-16, 3.9e-16,
 # 2.8e-14); each bound is twice the larger figure.  At y = 1e-4 the error is
-# 2.6 times tol, so tol is not a bound on it
+# 2.6 times tol, so tol is not a bound on it.  At y = 0.5, 2 and 10 the
+# worst errors are 1.11e-16, 5.55e-17 and 1.39e-17, with width-1 initial
+# panels and with the tol-derived cap alike; the bounds are twice those
 @pytest.mark.parametrize("y, bound", [(1.0, 1.1e-16), (0.1, 4.4e-16), (0.01, 7.8e-16),
-                                      (1e-4, 5.6e-14)])
+                                      (1e-4, 5.6e-14), (0.5, 2.2e-16), (2.0, 1.1e-16),
+                                      (10.0, 2.8e-17)])
 def test_quadrature_against_mpmath(y, bound):
     xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 251).tolist()
     exact = np.array([bruteforce.mpmath_voigt(x, y) for x in xs])
@@ -140,6 +143,60 @@ def test_small_y_quadrature_takes_few_rounds(monkeypatch):
     assert np.mean(calls) <= 3.0 and max(calls) <= 5
     # the first call evaluates the initial panels, each later one is a round
     assert [result.rounds for _, result in runs] == [c - 1 for c in calls]
+
+
+def _spy_on_integrate(monkeypatch):
+    """Record the QuadratureResult and the max_width of every integrate call."""
+    integrate = voigt_module.integrate
+    runs = []
+
+    def spy(*args, **kwargs):
+        result = integrate(*args, **kwargs)
+        runs.append((kwargs["max_width"], result))
+        return result
+
+    monkeypatch.setattr(voigt_module, "integrate", spy)
+    return runs
+
+
+@pytest.mark.parametrize("y", [1.0, 2.0, 10.0])
+def test_wide_lorentzian_quadrature_meets_tol_on_the_first_batch(y, monkeypatch):
+    # width-1 panels left 0 of 251 points at y = 2 and 10 and 60 at y = 1 on
+    # their first batch; the tol-derived cap resolves the Gaussian factor and
+    # the innermost panels next to the pole at x + iy at once
+    runs = _spy_on_integrate(monkeypatch)
+    xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 251).tolist() + [7.0, -7.0, 50.0, -50.0]
+    for x in xs:
+        voigt_quadrature(VoigtPoint(x, y), 1e-14)
+    assert [result.rounds for _, result in runs] == [0] * len(xs)
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-14, 1e-12, 1e-8])
+def test_quadrature_panel_cap_is_one_below_y_04(tol, monkeypatch):
+    # there the cap would add more panels than the round it saves costs, so
+    # those points keep the width-1 mesh
+    runs = _spy_on_integrate(monkeypatch)
+    for y in (1e-4, 0.01, 0.1, 0.399):
+        voigt_quadrature(VoigtPoint(0.5, y), tol)
+    assert [max_width for max_width, _ in runs] == [1.0] * 4
+
+
+def test_quadrature_cutoff_matches_the_search_it_replaces():
+    # L in closed form against the loop L = 1, 2, ... until e^(-L^2) <= tol/10,
+    # on a log-uniform sweep and around each boundary tol = 10 e^(-k^2)
+    def searched(tol):
+        L = 1.0
+        while math.exp(-L * L) > tol / 10.0:
+            L += 1.0
+        return L
+
+    rng = np.random.default_rng(7)
+    tols = (10.0 ** rng.uniform(-15.0, 0.0, 20_000)).tolist()
+    for k in range(1, 7):
+        edge = 10.0 * math.exp(-k * k)
+        tols += [edge, edge * (1.0 + 1e-15), edge * (1.0 - 1e-15)]
+    tols += [1e-15, 1.0, 3.0, 10.0, 1e300]
+    assert [voigt_module._mesh(tol, 1.0)[0] for tol in tols] == [searched(tol) for tol in tols]
 
 
 @pytest.mark.parametrize("tol, L", [(1e-14, 6.0), (1e-15, 7.0)])
