@@ -13,7 +13,8 @@ sharing no arithmetic with the rational evaluators:
   CoefficientSet, turns the real and the imaginary part of the expansion
   each into 2 Re(z P(w)), z = e^(i gamma_1 t), w = z^2, with P a
   polynomial summed by Horner's rule: one Horner pass per node and
-  nonzero part, one complex exponential per node and O(nodes) memory.
+  nonzero part and one complex exponential per node, in blocks of nodes
+  whose temporaries take memory proportional to the block.
 
 Both cap the panel width at 1/(8|nu|), an eighth of the kernel's period,
 and refuse |nu| > 100: past that the kernel oscillation would need more
@@ -32,6 +33,8 @@ from .targets import SURROGATE_K, TargetKind, target_value
 
 _NU_LIMIT = 100.0
 _ENVELOPE_CUTOFF = 1e-18
+# integrand nodes of damped_expansion_quadrature evaluated at a time
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -105,9 +108,11 @@ def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
     gives a real (sinc, Gaussian) or a purely imaginary (gauss-derivative)
     expansion, so each node takes one Horner pass; a set with both parts
     nonzero takes two.  A call costs one complex exponential and O(terms)
-    multiply-adds per node and nonzero part, and O(nodes) memory.  spec.lo
-    and spec.hi are ignored; the domain is dictated by `upper`, a positive
-    number or math.inf (not -math.inf).
+    multiply-adds per node and nonzero part.  The nodes of a batch are
+    evaluated _BLOCK at a time, so the temporaries take memory proportional
+    to the block, not to the node count.  spec.lo and spec.hi are ignored;
+    the domain is dictated by `upper`, a positive number or math.inf (not
+    -math.inf).
     """
     check_direction(coeffs, Direction.FORWARD, "damped-expansion oracle")
     _check_nu(nu)
@@ -132,11 +137,17 @@ def damped_expansion_quadrature(coeffs: CoefficientSet, nu: float, upper,
     gamma_1 = float(gamma[0])
 
     def integrand(t):
-        # gamma_m = (2m-1) gamma_1, so e^(i gamma_m t) = z w^(m-1)
-        z = np.exp(1j * gamma_1 * t)
-        w = z * z
-        bracket = sum(unit * part(z * _horner(c, w)) for unit, part, c in parts)
-        return bracket * np.exp(-(sigma + math.tau * 1j * nu) * t)
+        # every step is elementwise, so a block of nodes at a time gives the
+        # same bits with the temporaries of one block alive
+        out = np.empty(t.shape, complex)
+        for start in range(0, t.size, _BLOCK):
+            tb = t[start:start + _BLOCK]
+            # gamma_m = (2m-1) gamma_1, so e^(i gamma_m t) = z w^(m-1)
+            z = np.exp(1j * gamma_1 * tb)
+            w = z * z
+            bracket = sum(unit * part(z * _horner(c, w)) for unit, part, c in parts)
+            out[start:start + _BLOCK] = bracket * np.exp(-(sigma + math.tau * 1j * nu) * tb)
+        return out
 
     max_width = min(4.0 / gamma[-1], _osc_width(nu))
     return integrate(integrand, 0.0, upper, spec.tol, max_width=max_width).value

@@ -255,6 +255,14 @@ def test_voigt_single_point(capsys):
     assert _value_of(_lines(capsys)[-1]) <= 1e-12
 
 
+def test_voigt_at_tiny_y_and_the_floor_tolerance(capsys):
+    # the reference used to exhaust its panel budget here and exit 1; the
+    # figure is the residue sum's error, within the preset's 1.56e-11 bound
+    rc = main(["voigt", "--y", "1e-8", "--lo=-0.5", "--hi=-0.5", "--n", "1", "--tol", "1e-15"])
+    assert rc == 0
+    assert _value_of(_lines(capsys)[-1]) <= 1.56e-11
+
+
 def test_voigt_curve_file(tmp_path, capsys):
     path = tmp_path / "voigt.csv"
     rc = main(["voigt", "--y", "1", "--lo", "-2", "--hi", "2", "--n", "5",

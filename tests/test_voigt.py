@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratfourier import (
     DirectionError,
@@ -102,14 +104,17 @@ def test_quadrature_frozen_values():
         0.005641613782989433, rel=1e-12)
 
 
-# measured worst |quadrature - mpmath| on this grid: 5.6e-17, 1.1e-16, 3.9e-16,
-# 2.6e-14 (one panel at a time, before the rounds: 5.6e-17, 2.2e-16, 3.9e-16,
-# 2.8e-14); each bound is twice the larger figure.  At y = 1e-4 the error is
-# 2.6 times tol, so tol is not a bound on it.  At y = 0.5, 2 and 10 the
-# worst errors are 1.11e-16, 5.55e-17 and 1.39e-17, with width-1 initial
-# panels and with the tol-derived cap alike; the bounds are twice those
-@pytest.mark.parametrize("y, bound", [(1.0, 1.1e-16), (0.1, 4.4e-16), (0.01, 7.8e-16),
-                                      (1e-4, 5.6e-14), (0.5, 2.2e-16), (2.0, 1.1e-16),
+# measured worst |quadrature - mpmath| on this grid at y = 1, 0.5, 2 and 10:
+# 5.55e-17, 1.11e-16, 5.55e-17 and 1.39e-17, with width-1 initial panels
+# and with the tol-derived cap alike; each bound is twice its figure.  Below
+# y = 0.12 the peak's Taylor part is integrated in closed form: 1.11e-16,
+# 1.35e-16, 1.56e-16 and 1.58e-16 at y = 0.1, 0.01, 1e-3 and from 1e-4 to
+# 1e-8 (the plain integrand gave 1.11e-16, 3.89e-16, 1.08e-14, 2.59e-14,
+# 1.63e-12 at 1e-6 and 7.78e-12 at 1e-8, up to 778 times tol); each bound
+# is twice the figure, rounded up
+@pytest.mark.parametrize("y, bound", [(1.0, 1.1e-16), (0.1, 2.2e-16), (0.01, 2.7e-16),
+                                      (1e-3, 3.2e-16), (1e-4, 3.2e-16), (1e-6, 3.2e-16),
+                                      (1e-8, 3.2e-16), (0.5, 2.2e-16), (2.0, 1.1e-16),
                                       (10.0, 2.8e-17)])
 def test_quadrature_against_mpmath(y, bound):
     xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 251).tolist()
@@ -120,8 +125,10 @@ def test_quadrature_against_mpmath(y, bound):
 
 def test_small_y_quadrature_takes_few_rounds(monkeypatch):
     # the peak of width y = 1e-4 took about 18 integrand calls per point when
-    # the engine bisected one panel per call; a round bisects every panel it
-    # needs at once (measured: 2.24 calls per point, at most 4)
+    # the engine bisected one panel per call, and 2.24 (at most 4) once a
+    # round bisected every panel it needed at once; with the peak's Taylor
+    # part taken out in closed form what is left is smooth, and every point
+    # takes one call
     integrate = voigt_module.integrate
     runs = []
 
@@ -140,7 +147,7 @@ def test_small_y_quadrature_takes_few_rounds(monkeypatch):
     for x in np.linspace(-2.0 * math.pi, 2.0 * math.pi, 251).tolist():
         voigt_quadrature(VoigtPoint(x, 1e-4), 1e-14)
     calls = [c for c, _ in runs]
-    assert np.mean(calls) <= 3.0 and max(calls) <= 5
+    assert calls == [1] * 251
     # the first call evaluates the initial panels, each later one is a round
     assert [result.rounds for _, result in runs] == [c - 1 for c in calls]
 
@@ -169,6 +176,71 @@ def test_wide_lorentzian_quadrature_meets_tol_on_the_first_batch(y, monkeypatch)
     for x in xs:
         voigt_quadrature(VoigtPoint(x, y), 1e-14)
     assert [result.rounds for _, result in runs] == [0] * len(xs)
+
+
+@pytest.mark.parametrize("tol", [1e-15, 1e-14, 1e-10])
+@pytest.mark.parametrize("y", [1e-4, 1e-6])
+def test_small_y_quadrature_meets_tol_on_the_first_batch(y, tol, monkeypatch):
+    # the plain integrand took up to 6 rounds at y = 1e-4 and 15 at 1e-6
+    # (tol 1e-15); less its Taylor part at the peak it is smooth at the
+    # scale of the breakpoint cascade
+    runs = _spy_on_integrate(monkeypatch)
+    for x in np.linspace(-2.0 * math.pi, 2.0 * math.pi, 251).tolist():
+        voigt_quadrature(VoigtPoint(x, y), tol)
+    assert [result.rounds for _, result in runs] == [0] * 251
+
+
+def test_quadrature_at_tiny_y_and_the_floor_tolerance(monkeypatch):
+    # the plain integrand exhausted the panel budget here after about 6 s:
+    # at y = 1e-8 the rounding of the nodes next to x = -0.5 is a relative
+    # 1e-8 of the innermost panels, and the estimate stalls above tol
+    runs = _spy_on_integrate(monkeypatch)
+    value = voigt_quadrature(VoigtPoint(-0.5, 1e-8), 1e-15)
+    assert abs(value - bruteforce.mpmath_voigt(-0.5, 1e-8)) <= 2.2e-16
+    assert runs[0][1].rounds == 0
+
+
+def _plain_quadrature(p, tol):
+    """voigt_quadrature with the plain integrand, which it keeps from y = 0.12 up."""
+    x, y = p.x, p.y
+    L, max_width = voigt_module._mesh(tol, y)
+
+    def integrand(tau):
+        return (y / math.pi) * np.exp(-tau * tau) / (y * y + (x - tau) ** 2)
+
+    breakpoints = []
+    if -L < x < L:
+        width = y
+        while width < 2.0:
+            breakpoints.extend((x - width, x + width))
+            width *= 3.0
+        breakpoints.append(x)
+    return voigt_module.integrate(integrand, -L, L, tol, breakpoints=breakpoints,
+                                  max_width=max_width).value.real
+
+
+_TOLS = st.sampled_from([1e-15, 1e-14, 1e-12, 1e-10, 1e-6])
+
+
+@settings(max_examples=100)
+@given(x=st.floats(-12.0, 12.0), tol=_TOLS,
+       y=st.one_of(st.just(voigt_module._SUBTRACT_BELOW),
+                   st.floats(voigt_module._SUBTRACT_BELOW, 300.0)))
+def test_quadrature_from_the_threshold_up_is_the_plain_integral(x, y, tol):
+    p = VoigtPoint(x, y)
+    assert voigt_quadrature(p, tol).hex() == _plain_quadrature(p, tol).hex()
+
+
+@settings(max_examples=100)
+@given(x=st.floats(-8.0, 8.0), tol=st.sampled_from([1e-15, 1e-14, 1e-10]),
+       log_y=st.floats(-8.0, math.log10(0.12)))
+def test_quadrature_below_the_threshold_against_mpmath(x, log_y, tol):
+    # as in the table above, where the worst error is 1.58e-16
+    y = 10.0 ** log_y
+    if y >= voigt_module._SUBTRACT_BELOW:
+        y = math.nextafter(voigt_module._SUBTRACT_BELOW, 0.0)
+    value = voigt_quadrature(VoigtPoint(x, y), tol)
+    assert abs(value - bruteforce.mpmath_voigt(x, y)) <= 3.2e-16
 
 
 @pytest.mark.parametrize("tol", [1e-15, 1e-14, 1e-12, 1e-8])
