@@ -104,21 +104,42 @@ def test_quadrature_frozen_values():
         0.005641613782989433, rel=1e-12)
 
 
+def _mpmath_on_grid(y):
+    """251 x in [-2 pi, 2 pi] and K(x, y) there in 40-digit mpmath."""
+    if y not in _MPMATH_GRIDS:
+        xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 251).tolist()
+        _MPMATH_GRIDS[y] = xs, np.array([bruteforce.mpmath_voigt(x, y) for x in xs])
+    return _MPMATH_GRIDS[y]
+
+
+_MPMATH_GRIDS = {}
+
+
 # measured worst |quadrature - mpmath| on this grid at y = 1, 0.5, 2 and 10:
 # 5.55e-17, 1.11e-16, 5.55e-17 and 1.39e-17, with width-1 initial panels
-# and with the tol-derived cap alike; each bound is twice its figure.  Below
-# y = 0.12 the peak's Taylor part is integrated in closed form: 1.11e-16,
-# 1.35e-16, 1.56e-16 and 1.58e-16 at y = 0.1, 0.01, 1e-3 and from 1e-4 to
-# 1e-8 (the plain integrand gave 1.11e-16, 3.89e-16, 1.08e-14, 2.59e-14,
-# 1.63e-12 at 1e-6 and 7.78e-12 at 1e-8, up to 778 times tol); each bound
-# is twice the figure, rounded up
-@pytest.mark.parametrize("y, bound", [(1.0, 1.1e-16), (0.1, 2.2e-16), (0.01, 2.7e-16),
-                                      (1e-3, 3.2e-16), (1e-4, 3.2e-16), (1e-6, 3.2e-16),
-                                      (1e-8, 3.2e-16), (0.5, 2.2e-16), (2.0, 1.1e-16),
+# and with the tol-derived cap alike; each bound is twice its figure.  The
+# rows at y = 0.1, 0.01 and 1e-4 hold the bounds the plain integrand was
+# held to (it gave 1.11e-16, 3.89e-16 and 2.59e-14 there);
+# test_small_y_quadrature_against_mpmath holds the subtracted form to
+# tighter ones
+@pytest.mark.parametrize("y, bound", [(1.0, 1.1e-16), (0.1, 4.4e-16), (0.01, 7.8e-16),
+                                      (1e-4, 5.6e-14), (0.5, 2.2e-16), (2.0, 1.1e-16),
                                       (10.0, 2.8e-17)])
 def test_quadrature_against_mpmath(y, bound):
-    xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, 251).tolist()
-    exact = np.array([bruteforce.mpmath_voigt(x, y) for x in xs])
+    xs, exact = _mpmath_on_grid(y)
+    ref = np.array([voigt_quadrature(VoigtPoint(x, y), 1e-14) for x in xs])
+    assert np.max(np.abs(ref - exact)) <= bound
+
+
+# below y = 0.12 the peak's Taylor part is integrated in closed form:
+# measured worst 1.11e-16, 1.35e-16, 1.56e-16 and 1.58e-16 at y = 0.1,
+# 0.01, 1e-3 and from 1e-4 to 1e-8 (the plain integrand gave 1.11e-16,
+# 3.89e-16, 1.08e-14, 2.59e-14, 1.63e-12 at 1e-6 and 7.78e-12 at 1e-8, up
+# to 778 times tol); each bound is twice the figure, rounded up
+@pytest.mark.parametrize("y, bound", [(0.1, 2.2e-16), (0.01, 2.7e-16), (1e-3, 3.2e-16),
+                                      (1e-4, 3.2e-16), (1e-6, 3.2e-16), (1e-8, 3.2e-16)])
+def test_small_y_quadrature_against_mpmath(y, bound):
+    xs, exact = _mpmath_on_grid(y)
     ref = np.array([voigt_quadrature(VoigtPoint(x, y), 1e-14) for x in xs])
     assert np.max(np.abs(ref - exact)) <= bound
 
