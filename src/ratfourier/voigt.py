@@ -11,6 +11,7 @@ voigt_quadrature, an independent adaptive integration of the defining
 integral.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .coefficients import CoefficientSet, Direction
 from .errors import RangeError, check_denominator, check_direction, check_tol
-from .quadrature import integrate
+from .quadrature import _eval_panels, integrate
 from .targets import TargetKind
 
 # relative rounding allowance of the residue's first two denominators:
@@ -28,6 +29,8 @@ _ROUNDING = 64 * sys.float_info.epsilon
 # below this damping voigt_quadrature integrates the Gaussian less its
 # second-order Taylor part at the peak, whose integral it takes in closed form
 _SUBTRACT_BELOW = 0.12
+# max over x of |d^3/dx^3 e^(-x^2)| = |(12 x - 8 x^3) e^(-x^2)|, at x = 0.52465
+_G3_MAX = 3.9035661454517
 
 
 @dataclass(frozen=True)
@@ -203,6 +206,47 @@ def _mesh(tol, y):
     return L, cap
 
 
+def _scale_y_estimate(lo, hi, n):
+    """The 7/15 estimate of v/(1 + v^2), summed over n equal panels of [lo, hi]."""
+    edges = [lo + (hi - lo) * i / n for i in range(n)] + [hi]
+    return math.fsum(_eval_panels(lambda v: v / (1.0 + v * v), edges[:-1], edges[1:])[0])
+
+
+@functools.lru_cache(maxsize=128)
+def _small_y_offsets(y, tol):
+    """The offsets d of voigt_quadrature's breakpoints x -/+ d below _SUBTRACT_BELOW.
+
+    They do not depend on x, so each (y, tol) derives them once.  They start
+    as the cascade y, 3y, 9y, ... below 2.  The subtracted integrand keeps
+    one part at scale y, the remainder's cubic term over the Lorentzian,
+    (g'''/6 pi) y^3 u/(y^2 + u^2), or (g'''/6 pi) y^3 v/(1 + v^2) with
+    v = u/y.  On the cascade's gaps, [0, y] and [3^k y, 3^(k+1) y] on both
+    sides of x, the rule's estimate of that part at the largest |g'''| is
+    what the cascade adds to the first batch's estimate.  Where it exceeds
+    3/4 of tol, each gap is cut into the fewest equal panels that bring its
+    share to tol/(4m) or less, m the number of gaps; elsewhere the cascade
+    stays as it is.
+    """
+    ends = [y]
+    while ends[-1] * 3.0 < 2.0:
+        ends.append(ends[-1] * 3.0)
+    gaps = list(zip([0.0] + ends, ends))
+    scale = _G3_MAX / (3.0 * math.pi) * y ** 3  # both sides of x
+    # where y^3 <= tol the estimate is below 1e-6 tol, and at tiny y its
+    # v * v would overflow, so it is not formed
+    if y ** 3 <= tol or (scale * math.fsum(_scale_y_estimate(lo / y, hi / y, 1)
+                                           for lo, hi in gaps) <= 0.75 * tol):
+        return tuple(ends)
+    share = tol / (4 * len(gaps))
+    offsets = []
+    for lo, hi in gaps:
+        n = 1
+        while scale * _scale_y_estimate(lo / y, hi / y, n) > share:
+            n += 1
+        offsets += [lo + (hi - lo) * i / n for i in range(1, n)] + [hi]
+    return tuple(offsets)
+
+
 def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
     """Adaptive integration of the defining Voigt integral to tolerance tol.
 
@@ -223,12 +267,19 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
     round to the binary64 grid around x, turned it into errors growing as y
     fell: 2.6e-14, 1.6e-12 and 7.8e-12 at y = 1e-4, 1e-6 and 1e-8 and tol
     1e-14, up to 778 times tol, and at tol 1e-15 and y = 1e-8 the panel
-    budget ran out.  Now every point from y = 1e-3 down to 1e-8 meets tol
-    1e-15, 1e-14 or 1e-10 on its first batch.  From y = 0.12 up the
+    budget ran out.  From y = 0.12 up the
     integrand, and every result, is the plain one: there the subtracted
     form was one ulp worse at some y from 0.15 up (on 251 and 1001 x in
     [-2 pi, 2 pi] and 300 x in [-9, 9]), while from 0.12 down to 1e-8, at
     tol 1e-15, 1e-14 and 1e-10, it was never worse.
+
+    The breakpoints are x and x -/+ d.  From y = 0.12 up the offsets d are
+    the cascade y, 3y, 9y, ... below 2.  Below it they depend on y and tol
+    alone (_small_y_offsets): the same cascade, with its gaps cut into
+    equal panels where the 7/15 estimate of the remainder's part at scale
+    y, (g'''/6 pi) y^3 u/(y^2 + u^2) at the largest |g'''|, would exceed 3/4
+    of tol.  The cuts bring that estimate to tol/4, so a point takes a
+    round only where the rest of [-L, L] needs one.
 
     The integral is truncated to [-L, L], L the smallest integer with
     e^(-L^2) <= tol/10.  Outside that interval the Gaussian factor is at
@@ -259,7 +310,9 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
 
     Domain: RangeError where y^2 + (|x| + L)^2, a bound on every
     denominator, overflows: from y or |x| = 1.3408e154 at x = 0 or y = 1.
-    The residue sum's edge lies inside this one.
+    The residue sum's edge lies inside this one.  RangeError also where y^2
+    underflows to 0, below y = 2^-537.5 = 1.5717e-162, where the integrand
+    would divide by zero next to x.
     """
     check_tol(tol)
     x, y = p.x, p.y
@@ -268,6 +321,10 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
     d = abs(x) + L
     if not math.isfinite(y * y + d * d):
         raise RangeError(f"|x| or y too large for the quadrature reference (got x={x}, y={y})")
+    # where y * y is 0 the integrand divides by zero at the nodes next to x
+    if y * y == 0.0:
+        raise RangeError(f"y too small for the quadrature reference (got y={y}); "
+                         f"y^2 underflows to 0 below y = 1.5717e-162")
 
     if y >= _SUBTRACT_BELOW:
         def integrand(tau):
@@ -295,10 +352,14 @@ def voigt_quadrature(p: VoigtPoint, tol: float) -> float:
 
     breakpoints = []
     if -L < x < L:
-        width = y
-        while width < 2.0:
-            breakpoints.extend((x - width, x + width))
-            width *= 3.0
+        if y >= _SUBTRACT_BELOW:
+            width = y
+            while width < 2.0:
+                breakpoints.extend((x - width, x + width))
+                width *= 3.0
+        else:
+            offsets = _small_y_offsets(y, tol)
+            breakpoints = [x - d for d in offsets] + [x + d for d in offsets]
         breakpoints.append(x)
     value = integrate(integrand, -L, L, tol, breakpoints=breakpoints,
                       max_width=max_width).value

@@ -263,6 +263,14 @@ def test_voigt_at_tiny_y_and_the_floor_tolerance(capsys):
     assert _value_of(_lines(capsys)[-1]) <= 1.56e-11
 
 
+def test_voigt_refuses_y_whose_square_underflows(capsys):
+    # the reference raised ConvergenceError here, exit 1; a y below its
+    # domain is invalid input
+    rc = main(["voigt", "--y", "1e-170", "--lo", "0", "--hi", "0", "--n", "1"])
+    assert rc == 2
+    assert "too small" in capsys.readouterr().err
+
+
 def test_voigt_curve_file(tmp_path, capsys):
     path = tmp_path / "voigt.csv"
     rc = main(["voigt", "--y", "1", "--lo", "-2", "--hi", "2", "--n", "5",

@@ -199,16 +199,34 @@ def test_wide_lorentzian_quadrature_meets_tol_on_the_first_batch(y, monkeypatch)
     assert [result.rounds for _, result in runs] == [0] * len(xs)
 
 
-@pytest.mark.parametrize("tol", [1e-15, 1e-14, 1e-10])
-@pytest.mark.parametrize("y", [1e-4, 1e-6])
+@pytest.mark.parametrize("y, tol", [(y, tol) for y in (1e-4, 1e-6) for tol in (1e-15, 1e-14, 1e-10)]
+                         + [(y, tol) for y in (0.1, 0.05, 0.01, 1e-3) for tol in (1e-14, 1e-10)])
 def test_small_y_quadrature_meets_tol_on_the_first_batch(y, tol, monkeypatch):
     # the plain integrand took up to 6 rounds at y = 1e-4 and 15 at 1e-6
     # (tol 1e-15); less its Taylor part at the peak it is smooth at the
-    # scale of the breakpoint cascade
+    # scale of the breakpoint cascade.  With the cascade alone, 127, 115 and
+    # 24 points took a round at y = 0.1, 0.05 and 0.01 (tol 1e-14); the
+    # gaps cut from y and tol leave none
     runs = _spy_on_integrate(monkeypatch)
     for x in np.linspace(-2.0 * math.pi, 2.0 * math.pi, 251).tolist():
         voigt_quadrature(VoigtPoint(x, y), tol)
     assert [result.rounds for _, result in runs] == [0] * 251
+
+
+@pytest.mark.parametrize("y, tol, panels", [(0.1199, 1e-10, 4152), (0.1, 1e-10, 4238),
+                                            (0.05, 1e-10, 4506), (0.01, 1e-10, 5236),
+                                            (1e-3, 1e-10, 6232), (0.007, 1e-14, 5716),
+                                            (0.003, 1e-15, 6414)])
+def test_small_y_mesh_adds_no_panels_where_the_cascade_passes(y, tol, panels, monkeypatch):
+    # in these cells the cascade alone needs no round on this grid, so the
+    # rule cuts no gap: these are its panel counts over the 251 points
+    # (means 16.5, 16.9, 18.0, 20.9 and 24.8 at tol 1e-10).  At the last
+    # two the estimate is 0.73 and 0.57 of tol, and cutting each gap to its
+    # share would add 1426 and 2008 panels
+    runs = _spy_on_integrate(monkeypatch)
+    for x in np.linspace(-2.0 * math.pi, 2.0 * math.pi, 251).tolist():
+        voigt_quadrature(VoigtPoint(x, y), tol)
+    assert sum(result.panels for _, result in runs) <= panels
 
 
 def test_quadrature_at_tiny_y_and_the_floor_tolerance(monkeypatch):
@@ -319,6 +337,23 @@ def test_quadrature_is_relative_at_huge_y(y):
     for x in (0.0, 3.0, 50.0):
         exact = wofz(x + 1j * y).real
         assert abs(voigt_quadrature(VoigtPoint(x, y), 1e-14) - exact) <= 4.4e-16 * exact
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_quadrature_refuses_y_whose_square_underflows(monkeypatch):
+    # y * y is 0 below 2^-537.5, and the integrand would divide by zero at
+    # the nodes next to x (numpy warned, then the nan estimate raised
+    # ConvergenceError); the refusal comes before any integrand call
+    runs = _spy_on_integrate(monkeypatch)
+    edge = 2.0 ** -537.5
+    for y in (1e-170, 5e-324, math.nextafter(edge, 0.0)):
+        with pytest.raises(RangeError, match="too small"):
+            voigt_quadrature(VoigtPoint(0.5, y), 1e-14)
+    assert runs == []
+    # down to the edge the values are 40-digit mpmath's, rounded
+    for y in (1e-160, edge):
+        for x in (0.0, 0.5, -2.3):
+            assert voigt_quadrature(VoigtPoint(x, y), 1e-14) == bruteforce.mpmath_voigt(x, y)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
